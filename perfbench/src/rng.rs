@@ -1,0 +1,41 @@
+//! Seeded input generation: a SplitMix64 stream per purpose, so one
+//! `--seed` fixes every table, statement and append batch.
+
+/// A SplitMix64 generator.
+pub struct Rng(u64);
+
+impl Rng {
+    /// The stream `stream` of run seed `seed`; distinct streams are
+    /// statistically independent.
+    pub fn stream(seed: u64, stream: u64) -> Rng {
+        let mut r = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
+        r.next_u64();
+        r
+    }
+
+    /// Next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Standard normal (Box–Muller).
+    pub fn normal(&mut self) -> f64 {
+        let u = self.f64().max(f64::MIN_POSITIVE);
+        let v = self.f64();
+        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+    }
+}
