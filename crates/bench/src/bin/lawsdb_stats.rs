@@ -23,7 +23,7 @@
 use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme, ReplicaState};
 use lawsdb_core::LawsDb;
 use lawsdb_fit::FitOptions;
-use lawsdb_obs::{MetricsRegistry, MockClock, RecorderConfig};
+use lawsdb_obs::{MetricsRegistry, MockClock, ProfileCollector, RecorderConfig};
 use lawsdb_query::{ExecOptions, ResourceBudget};
 use lawsdb_server::{Client, QueryMode, Server, ServerConfig};
 use lawsdb_storage::{Table, TableBuilder};
@@ -272,7 +272,9 @@ fn main() {
                 .map(String::as_str)
                 .unwrap_or("SELECT y FROM t WHERE x >= 15000 AND y <= 32000");
             let db = demo_engine();
-            let r = db.query_resilient_profiled(sql).unwrap_or_else(|e| {
+            let r = db
+                .query_resilient_collected(sql, &ProfileCollector::new())
+                .unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2)
             });

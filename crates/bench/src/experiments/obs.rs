@@ -10,7 +10,7 @@
 //!   where `sites` counts every record an instrumented run of the same
 //!   query produces (profile tree lines + ring events). Gate: ≤ 2 %.
 //! * **fully instrumented** — measured A/B: plain `execute_with` vs
-//!   `execute_profiled` under an installed ring subscriber, best of
+//!   `run_profiled` under an installed ring subscriber, best of
 //!   interleaved trials. Gate: ≤ 8 % (advisory in the report; CI warns).
 //!
 //! The analytic bound is deliberately pessimistic — it charges every
@@ -20,9 +20,9 @@
 
 use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb_obs::trace::tracer;
-use lawsdb_obs::{MetricsRegistry, ProfileCollector};
-use lawsdb_query::{execute_profiled, execute_with, ExecOptions};
-use lawsdb_storage::TableBuilder;
+use lawsdb_obs::{MetricsRegistry, ProfileCollector, QueryProfile};
+use lawsdb_query::{execute_with, ExecOptions, QueryResult};
+use lawsdb_storage::{Catalog, TableBuilder};
 use std::hint::black_box;
 
 use super::morsel;
@@ -206,6 +206,19 @@ fn cluster_trace_point(rows: usize, shards: usize, iters: usize) -> ClusterTrace
     }
 }
 
+/// A fully instrumented run: `execute_with` recording into a fresh
+/// profile collector, and the tree it built.
+fn run_profiled(
+    catalog: &Catalog,
+    sql: &str,
+    opts: &ExecOptions,
+) -> (QueryResult, QueryProfile) {
+    let collector = ProfileCollector::new();
+    let opts = ExecOptions { profile: Some(collector.context()), ..opts.clone() };
+    let r = execute_with(catalog, sql, &opts).expect("instrumented");
+    (r, collector.build("query"))
+}
+
 /// Run the overhead sweep at the given row scales.
 pub fn run(row_scales: &[usize]) -> ObsReport {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -222,14 +235,9 @@ pub fn run(row_scales: &[usize]) -> ObsReport {
             // profile tree line plus every event the subscriber saw.
             let sink = tracer().install_ring(4096);
             let before = sink.cursor();
-            let probe = execute_profiled(&catalog, sql, &opts).expect("instrumented");
+            let (probe, profile) = run_profiled(&catalog, sql, &opts);
             let events = (sink.cursor() - before) as usize;
-            let sites = probe
-                .profile
-                .as_ref()
-                .map(|p| p.render().lines().count())
-                .unwrap_or(0)
-                + events;
+            let sites = profile.render().lines().count() + events;
             tracer().uninstall();
 
             // Same answer on both sides before any timing counts.
@@ -246,7 +254,7 @@ pub fn run(row_scales: &[usize]) -> ObsReport {
                 let (_, us) = crate::time_us(|| execute_with(&catalog, sql, &opts));
                 best_plain = best_plain.min(us);
                 let _ = tracer().install_ring(4096);
-                let (_, us) = crate::time_us(|| execute_profiled(&catalog, sql, &opts));
+                let (_, us) = crate::time_us(|| run_profiled(&catalog, sql, &opts));
                 best_instr = best_instr.min(us);
             }
             tracer().uninstall();

@@ -12,7 +12,7 @@
 //!   `always-exact` (base-table scan), `always-model` (model
 //!   reconstruction, falling back to exact when no model covers the
 //!   query), and the engine's cost-based `adaptive` choice
-//!   ([`lawsdb_core::LawsDb::query_adaptive`]). The report carries a
+//!   ([`lawsdb_core::LawsDb::query_adaptive_with`]). The report carries a
 //!   win rate and a geomean latency per static policy; the CI smoke
 //!   gate is [`OptimizerReport::within_gate`] — the optimizer must not
 //!   lose more than [`GATE_PCT`]% (geomean) to the *best* static
@@ -237,10 +237,10 @@ pub fn run(kernel_rows: usize, sources: usize, rounds: usize) -> OptimizerReport
     let mut policy = Vec::new();
     for (kind, sql) in sweep_queries(sources) {
         // Warm the plan cache so every policy sees steady state.
-        let a = db.query_adaptive(&sql).expect("adaptive");
+        let a = db.query_adaptive_with(&sql, &db.exec).expect("adaptive");
         let chose_model = matches!(a, Answer::Approx(_));
         let adaptive_us = best_of_5(|| {
-            std::hint::black_box(db.query_adaptive(&sql).expect("adaptive"));
+            std::hint::black_box(db.query_adaptive_with(&sql, &db.exec).expect("adaptive"));
         });
         let exact_us = best_of_5(|| {
             std::hint::black_box(db.query(&sql).expect("exact"));

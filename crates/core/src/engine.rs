@@ -15,7 +15,7 @@ use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
 use lawsdb_obs::{fields, MetricsRegistry, ProfileCollector, ProfileContext};
 use lawsdb_query::{
-    CostModel, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
+    CostConstants, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
 };
 use lawsdb_storage::{Catalog, Column, Table};
 use parking_lot::RwLock;
@@ -98,9 +98,9 @@ pub struct LawsDb {
     /// Degradation health counters (see [`crate::resilience`]) — views
     /// over `lawsdb_core_*` counters in [`LawsDb::metrics`].
     health: HealthCounters,
-    /// Adaptive per-operator cost model: prices physical plans, and
-    /// (when feedback is armed) calibrates from profiled query runs.
-    cost: Arc<CostModel>,
+    /// Per-operator cost constants the physical planner prices plans
+    /// (and the adaptive path's model route) with.
+    cost: CostConstants,
     /// Physical plan cache keyed on `(normalized query, stats epoch)`;
     /// hit/miss counters live in [`LawsDb::metrics`].
     plan_cache: PlanCache,
@@ -132,7 +132,7 @@ impl LawsDb {
             legal_filter_bits_per_key: Some(10),
             exec,
             health: HealthCounters::for_registry(&metrics),
-            cost: Arc::new(CostModel::new()),
+            cost: CostConstants::default(),
             plan_cache: PlanCache::for_registry(&metrics),
             metrics,
         }
@@ -198,17 +198,6 @@ impl LawsDb {
         (self.tables.epoch() << 32) | (self.models.epoch() & 0xFFFF_FFFF)
     }
 
-    /// The engine's adaptive cost model.
-    pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.cost
-    }
-
-    /// Arm or disarm cost-constant calibration from profiled queries
-    /// (off by default, so plans stay deterministic under tests).
-    pub fn set_cost_feedback(&self, enabled: bool) {
-        self.cost.set_feedback(enabled);
-    }
-
     /// The physical plan cache (`lawsdb_query_plan_cache_{hit,miss}`
     /// counters live in [`LawsDb::metrics`]).
     pub fn plan_cache(&self) -> &PlanCache {
@@ -226,11 +215,7 @@ impl LawsDb {
         }
         let logical = lawsdb_query::LogicalPlan::from_statement(&stmt).map_err(CoreError::Query)?;
         let optimized = lawsdb_query::optimize::optimize(&logical);
-        let plan = Arc::new(lawsdb_query::plan_physical(
-            &self.tables,
-            &optimized,
-            &self.cost.constants(),
-        ));
+        let plan = Arc::new(lawsdb_query::plan_physical(&self.tables, &optimized, &self.cost));
         self.plan_cache.put(key, epoch, Arc::clone(&plan));
         Ok(plan)
     }
@@ -251,8 +236,7 @@ impl LawsDb {
     /// counters keep flowing.
     pub fn query_with(&self, sql: &str, exec: &ExecOptions) -> Result<QueryResult> {
         let plan = self.physical_plan(sql)?;
-        let opts = self.resolve_exec(exec, None);
-        Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &opts)?)
+        self.run_exact(&plan, None, exec)
     }
 
     /// EXPLAIN: the cost-based physical plan for a query, one node per
@@ -269,20 +253,13 @@ impl LawsDb {
         Ok(self.approx.read().answer(sql)?)
     }
 
-    /// Answer approximately when a model can, exactly otherwise — the
-    /// transparent behavior the paper's user sees. Degradation reasons
-    /// are recorded in [`LawsDb::health`] but not returned; use
-    /// [`LawsDb::query_resilient`] to see them per query.
-    pub fn query_transparent(&self, sql: &str) -> Result<Answer> {
-        Ok(self.query_resilient(sql)?.answer)
-    }
-
-    /// The transparent path with every degradation decision surfaced:
-    /// answer from a model when one covers the query *and is still
-    /// current*, demote stale or drifted models, fall back to exact —
-    /// and say which rungs of the ladder were taken and why.
+    /// The transparent path the paper's user sees, with every
+    /// degradation decision surfaced: answer from a model when one
+    /// covers the query *and is still current*, demote stale or drifted
+    /// models, fall back to exact — and say which rungs of the ladder
+    /// were taken and why (also counted in [`LawsDb::health`]).
     pub fn query_resilient(&self, sql: &str) -> Result<ResilientAnswer> {
-        self.query_resilient_inner(sql, None, None)
+        self.query_resilient_inner(sql, None, &self.exec)
     }
 
     /// [`LawsDb::query_resilient`] under caller-provided
@@ -293,66 +270,52 @@ impl LawsDb {
         // A profile context riding on the options also collects the
         // ladder's own decisions (`resilient.*` points), not just the
         // exact rung's plan tree — the server's tracing path needs both.
-        self.query_resilient_inner(sql, exec.profile.as_ref(), Some(exec))
+        self.query_resilient_inner(sql, exec.profile.as_ref(), exec)
     }
 
     /// [`LawsDb::query_resilient`], plus an attached
     /// [`lawsdb_obs::QueryProfile`] unifying the ladder's decisions with
     /// the exact plan's execution tree — the engine's `EXPLAIN ANALYZE`.
-    pub fn query_resilient_profiled(&self, sql: &str) -> Result<ResilientAnswer> {
-        self.query_resilient_collected(sql, &ProfileCollector::new())
-    }
-
-    /// [`LawsDb::query_resilient_profiled`] recording into a
-    /// caller-owned collector — tests pass one on a
-    /// [`lawsdb_obs::MockClock`] for byte-identical profile trees.
+    /// Records into a caller-owned collector: pass
+    /// `ProfileCollector::new()`, or one on a [`lawsdb_obs::MockClock`]
+    /// for byte-identical profile trees.
     pub fn query_resilient_collected(
         &self,
         sql: &str,
         collector: &Arc<ProfileCollector>,
     ) -> Result<ResilientAnswer> {
         let ctx = collector.context();
-        let mut r = self.query_resilient_inner(sql, Some(&ctx), None)?;
-        let profile = collector.build("query");
-        // Close the adaptive loop: observed span timings recalibrate
-        // the per-operator cost constants (no-op unless feedback is
-        // armed via `set_cost_feedback`).
-        self.cost.observe_profile(&profile);
-        r.profile = Some(profile);
+        let mut r = self.query_resilient_inner(sql, Some(&ctx), &self.exec)?;
+        r.profile = Some(collector.build("query"));
         Ok(r)
     }
 
     /// Cost-driven plan choice between the exact scan path and the
-    /// model path: price the physical plan against the estimated cost
-    /// of reconstructing the answer from models, and take the cheaper
-    /// route (falling back to exact whenever the model path cannot
-    /// answer or fails its freshness guard).
-    pub fn query_adaptive(&self, sql: &str) -> Result<Answer> {
-        self.query_adaptive_inner(sql, None)
-    }
-
-    /// [`LawsDb::query_adaptive`] under caller-provided [`ExecOptions`]
-    /// (applied to the exact route; the model route is zero-IO).
+    /// model path, with the exact route under caller-provided
+    /// [`ExecOptions`] (the model route is zero-IO): price the physical
+    /// plan against the estimated cost of reconstructing the answer
+    /// from models, and take the cheaper route. A model that fails its
+    /// freshness guard is demoted exactly as on the resilient ladder,
+    /// so later queries do not retry it; any model-path failure falls
+    /// back to exact.
     pub fn query_adaptive_with(&self, sql: &str, exec: &ExecOptions) -> Result<Answer> {
-        self.query_adaptive_inner(sql, Some(exec))
-    }
-
-    fn query_adaptive_inner(&self, sql: &str, exec: Option<&ExecOptions>) -> Result<Answer> {
         let plan = self.physical_plan(sql)?;
         let est = plan.root_estimate();
-        let model_cost = self.cost.constants().model_answer_cost_us(est.rows);
-        if model_cost <= est.cost_us {
+        if self.cost.model_answer_cost_us(est.rows) <= est.cost_us {
             if let Ok(a) = self.query_approx(sql) {
-                if self.freshness_guard(&a).is_none() {
-                    return Ok(Answer::Approx(a));
+                match self.freshness_guard(&a) {
+                    None => return Ok(Answer::Approx(a)),
+                    Some(reason) => self.demote(a.model, &reason, exec.profile.as_ref()),
                 }
             }
         }
-        Ok(Answer::Exact(self.query_exact_for(sql, None, exec)?))
+        Ok(Answer::Exact(self.run_exact(&plan, None, exec)?))
     }
 
-    /// Record one ladder decision as a profile point, when profiling.
-    fn profile_degrade(ctx: Option<&ProfileContext>, reason: &DegradeReason) {
+    /// Record one ladder decision: count it in [`LawsDb::health`] and,
+    /// when profiling, emit a `resilient.degrade` point.
+    fn record_degrade(&self, reason: &DegradeReason, ctx: Option<&ProfileContext>) {
+        self.health.record(reason);
         if let Some(ctx) = ctx {
             ctx.point(
                 "resilient.degrade",
@@ -361,45 +324,41 @@ impl LawsDb {
         }
     }
 
-    /// The exact rung, carrying the profile context (plan-node spans,
-    /// morsel timings, pruning and governor points attach under it).
-    /// Caller options resolved against the engine's defaults: the
-    /// caller's knobs win, the stats sink falls back to the engine's
-    /// own (so shared registry counters keep flowing), and an active
-    /// profile context attaches regardless of where the options came
-    /// from.
-    fn resolve_exec(&self, exec: &ExecOptions, ctx: Option<&ProfileContext>) -> ExecOptions {
-        ExecOptions {
+    /// The guard-failure rung shared by the resilient and adaptive
+    /// paths: demote the model so the next query does not retry it,
+    /// and record why.
+    fn demote(&self, model: ModelId, reason: &DegradeReason, ctx: Option<&ProfileContext>) {
+        let _ = self.models.set_state(model, ModelState::Stale);
+        self.record_degrade(reason, ctx);
+    }
+
+    /// Run a plan on the exact path under caller options resolved
+    /// against the engine's defaults: the caller's knobs win, the stats
+    /// sink falls back to the engine's own (so shared registry counters
+    /// keep flowing), and an active profile context `ctx` attaches
+    /// regardless of where the options came from (plan-node spans,
+    /// morsel timings, pruning and governor points land under it).
+    fn run_exact(
+        &self,
+        plan: &PhysicalPlan,
+        ctx: Option<&ProfileContext>,
+        exec: &ExecOptions,
+    ) -> Result<QueryResult> {
+        let opts = ExecOptions {
             stats: exec.stats.clone().or_else(|| self.exec.stats.clone()),
             profile: ctx.cloned().or_else(|| exec.profile.clone()),
             ..exec.clone()
-        }
-    }
-
-    fn query_exact_for(
-        &self,
-        sql: &str,
-        ctx: Option<&ProfileContext>,
-        exec: Option<&ExecOptions>,
-    ) -> Result<QueryResult> {
-        let opts = match exec {
-            Some(e) => self.resolve_exec(e, ctx),
-            None => match ctx {
-                Some(c) => ExecOptions { profile: Some(c.clone()), ..self.exec.clone() },
-                None => self.exec.clone(),
-            },
         };
-        let plan = self.physical_plan(sql)?;
-        Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &opts)?)
+        Ok(lawsdb_query::execute_physical_with(&self.tables, plan, &opts)?)
     }
 
     fn query_resilient_inner(
         &self,
         sql: &str,
         ctx: Option<&ProfileContext>,
-        exec: Option<&ExecOptions>,
+        exec: &ExecOptions,
     ) -> Result<ResilientAnswer> {
-        match self.query_approx(sql) {
+        let reason = match self.query_approx(sql) {
             Ok(a) => match self.freshness_guard(&a) {
                 None => {
                     self.health.record_approx();
@@ -413,23 +372,15 @@ impl LawsDb {
                             ],
                         );
                     }
-                    Ok(ResilientAnswer {
+                    return Ok(ResilientAnswer {
                         answer: Answer::Approx(a),
                         degraded: Vec::new(),
                         profile: None,
-                    })
+                    });
                 }
                 Some(reason) => {
-                    // Demote so the next query doesn't retry the model,
-                    // then answer this one exactly.
-                    let _ = self.models.set_state(a.model, ModelState::Stale);
-                    self.health.record(&reason);
-                    Self::profile_degrade(ctx, &reason);
-                    Ok(ResilientAnswer {
-                        answer: Answer::Exact(self.query_exact_for(sql, ctx, exec)?),
-                        degraded: vec![reason],
-                        profile: None,
-                    })
+                    self.demote(a.model, &reason, ctx);
+                    reason
                 }
             },
             Err(CoreError::Approx(
@@ -437,16 +388,17 @@ impl LawsDb {
                 | lawsdb_approx::ApproxError::EnumerationTooLarge { .. }),
             )) => {
                 let reason = DegradeReason::NoModel { detail: e.to_string() };
-                self.health.record(&reason);
-                Self::profile_degrade(ctx, &reason);
-                Ok(ResilientAnswer {
-                    answer: Answer::Exact(self.query_exact_for(sql, ctx, exec)?),
-                    degraded: vec![reason],
-                    profile: None,
-                })
+                self.record_degrade(&reason, ctx);
+                reason
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        let plan = self.physical_plan(sql)?;
+        Ok(ResilientAnswer {
+            answer: Answer::Exact(self.run_exact(&plan, ctx, exec)?),
+            degraded: vec![reason],
+            profile: None,
+        })
     }
 
     /// Degradation health counters.
@@ -714,8 +666,9 @@ mod tests {
     fn transparent_query_falls_back_without_model() {
         let db = lofar_db();
         let ans = db
-            .query_transparent("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+            .query_resilient("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
+            .unwrap()
+            .answer;
         assert!(!ans.is_approximate());
         assert!(ans.rows_scanned() > 0);
         // After capture, the same query goes zero-IO.
@@ -727,8 +680,9 @@ mod tests {
         )
         .unwrap();
         let ans = db
-            .query_transparent("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+            .query_resilient("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
+            .unwrap()
+            .answer;
         assert!(ans.is_approximate());
         assert_eq!(ans.rows_scanned(), 0);
     }
@@ -1164,17 +1118,16 @@ mod tests {
     fn adaptive_query_answers_exactly_without_models() {
         let db = lofar_db();
         let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
-        let a = db.query_adaptive(sql).unwrap();
+        let a = db.query_adaptive_with(sql, &db.exec).unwrap();
         assert!(!a.is_approximate());
         assert!(a.rows_scanned() > 0);
     }
 
-    #[test]
-    fn adaptive_query_prefers_the_model_when_the_scan_is_expensive() {
-        // Sources interleaved round-robin, so every zone spans the full
-        // key range and zone maps cannot rescue the exact scan: the
-        // costed plan reads all 16k rows, while the model reconstructs
-        // an estimated handful of tuples.
+    /// Sources interleaved round-robin, so every zone spans the full key
+    /// range and zone maps cannot rescue the exact scan: the costed plan
+    /// reads all 16k rows, while the model reconstructs an estimated
+    /// handful of tuples — a shape the cost model sends to the model.
+    fn interleaved_db() -> LawsDb {
         let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
         let sources = 100usize;
         let rounds = 160usize;
@@ -1202,17 +1155,51 @@ mod tests {
             &RawFitOptions::default(),
         )
         .unwrap();
-        let sql = "SELECT intensity FROM measurements WHERE source = 50 AND nu = 0.15";
-        let plan = db.physical_plan(sql).unwrap();
+        db
+    }
+
+    const INTERLEAVED_POINT: &str =
+        "SELECT intensity FROM measurements WHERE source = 50 AND nu = 0.15";
+
+    #[test]
+    fn adaptive_query_prefers_the_model_when_the_scan_is_expensive() {
+        let db = interleaved_db();
+        let plan = db.physical_plan(INTERLEAVED_POINT).unwrap();
         let est = plan.root_estimate();
-        let model_cost = db.cost_model().constants().model_answer_cost_us(est.rows);
+        let model_cost = db.cost.model_answer_cost_us(est.rows);
         assert!(
             model_cost <= est.cost_us,
             "model path ({model_cost:.1}us) should undercut the scan ({:.1}us)",
             est.cost_us
         );
-        let a = db.query_adaptive(sql).unwrap();
+        let a = db.query_adaptive_with(INTERLEAVED_POINT, &db.exec).unwrap();
         assert!(a.is_approximate());
         assert_eq!(a.rows_scanned(), 0);
+    }
+
+    #[test]
+    fn adaptive_query_demotes_a_stale_model_once() {
+        let db = interleaved_db();
+        let m = db.models().all().into_iter().next().unwrap();
+        // Append one row behind the engine's back, so the model is still
+        // Active and only the freshness guard can notice.
+        let mut t = (*db.table("measurements").unwrap()).clone();
+        t.append_rows(&[
+            Column::from_i64(vec![50]),
+            Column::from_f64(vec![0.15]),
+            Column::from_f64(vec![1.0]),
+        ])
+        .unwrap();
+        db.tables().replace(t);
+        let a = db.query_adaptive_with(INTERLEAVED_POINT, &db.exec).unwrap();
+        assert!(!a.is_approximate(), "stale model must not answer");
+        assert_eq!(db.models().get(m.id).unwrap().state, ModelState::Stale);
+        let after_first = db.health();
+        assert_eq!(after_first.stale_demotions, 1);
+        assert_eq!(after_first.exact_fallbacks, 1);
+        // The demoted model is not tried again: no second degradation.
+        let a = db.query_adaptive_with(INTERLEAVED_POINT, &db.exec).unwrap();
+        assert!(!a.is_approximate());
+        assert_eq!(db.health(), after_first);
     }
 }

@@ -18,6 +18,7 @@ use crate::error::Result;
 use lawsdb_approx::ApproxAnswer;
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_models::model::ModelId;
+use lawsdb_obs::ProfileCollector;
 use std::sync::Arc;
 
 /// Client↔server link model for the offload comparison.
@@ -202,7 +203,7 @@ impl<'db> Session<'db> {
     /// Transparent query: model-backed when possible, exact otherwise;
     /// the fallback is logged.
     pub fn query(&mut self, sql: &str) -> Result<Answer> {
-        let ans = self.db.query_transparent(sql)?;
+        let ans = self.db.query_resilient(sql)?.answer;
         match &ans {
             Answer::Approx(a) => self.log.push(InterceptEvent::AnsweredApproximately {
                 sql: sql.to_string(),
@@ -236,7 +237,7 @@ impl<'db> Session<'db> {
     /// ladder decisions, plan-node spans, per-morsel timings, pruning
     /// and governor points, and any bridged storage events.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
-        let r = self.db.query_resilient_profiled(sql)?;
+        let r = self.db.query_resilient_collected(sql, &ProfileCollector::new())?;
         match &r.answer {
             Answer::Approx(a) => self.log.push(InterceptEvent::AnsweredApproximately {
                 sql: sql.to_string(),

@@ -1,22 +1,28 @@
-//! Vectorized, morsel-parallel plan execution.
+//! Vectorized, morsel-parallel execution of a [`PhysicalPlan`].
 //!
-//! The executor recognizes `Scan → Filter → Aggregate` pipeline shapes
-//! and runs them morsel-at-a-time on a scoped worker pool (see
-//! [`crate::morsel`]); per-morsel partial states merge in morsel order,
-//! so results are bit-identical for any thread count. Every other plan
-//! node runs serially on its (possibly parallel-computed) input.
+//! The executor dispatches on [`PhysicalNode`] and takes every
+//! access-path decision from the plan: a `Filter` over a `Scan` prunes
+//! zones with the planner's [`PruningPredicate`], and an `Aggregate`
+//! folds at its [`ZoneAggPath`](crate::physical::ZoneAggPath) grid. It
+//! runs `Scan → Filter → Aggregate` pipelines morsel-at-a-time on a
+//! scoped worker pool (see [`crate::morsel`]); per-morsel partial
+//! states merge in morsel order, so results are bit-identical for any
+//! thread count. Every other plan node runs serially on its (possibly
+//! parallel-computed) input.
 
+use crate::cost::CostConstants;
 use crate::error::{QueryError, Result};
 use crate::governor::Governor;
 use crate::morsel::{morsel_ranges, parallel_morsels, ExecOptions};
 use crate::optimize::optimize;
+use crate::physical::{plan_physical, PhysicalNode, PhysicalPlan};
 use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};
 use crate::sexpr::{PredMask, ScalarExpr};
 use crate::sql::{parse_select, AggFunc, OrderBy};
-use lawsdb_obs::{fields, ProfileCollector, ProfileContext, QueryProfile};
+use lawsdb_obs::{fields, ProfileContext};
 use lawsdb_storage::schema::{DataType, Field, Schema};
-use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
+use lawsdb_storage::zonemap::{ColumnZones, TableSynopsis, ZoneSource};
 use lawsdb_storage::{Catalog, Column, Table, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,11 +42,6 @@ pub struct QueryResult {
     pub rows_scanned: usize,
     /// Zone-level pruning counters for this query.
     pub scan_stats: ScanStats,
-    /// `EXPLAIN ANALYZE`-style execution profile. Attached only by the
-    /// profiled entry points ([`execute_profiled`],
-    /// [`execute_plan_profiled`]); `None` on the plain paths, which pay
-    /// one untaken branch per instrumentation site.
-    pub profile: Option<QueryProfile>,
 }
 
 /// Parse, plan, optimize and execute a SELECT statement with default
@@ -49,26 +50,39 @@ pub fn execute(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
     execute_with(catalog, sql, &ExecOptions::default())
 }
 
-/// Parse, plan, optimize and execute a SELECT statement with explicit
-/// execution options.
+/// Parse, optimize, plan against the catalog's statistics with the
+/// default [`CostConstants`], and run a SELECT statement with explicit
+/// execution options. With [`ExecOptions::profile`] set, the plan-node
+/// spans, morsel timings and pruning/governor points land in that
+/// context.
 pub fn execute_with(catalog: &Catalog, sql: &str, opts: &ExecOptions) -> Result<QueryResult> {
     let stmt = parse_select(sql)?;
-    let plan = LogicalPlan::from_statement(&stmt)?;
-    let plan = optimize(&plan);
-    execute_plan_with(catalog, &plan, opts)
+    let plan = optimize(&LogicalPlan::from_statement(&stmt)?);
+    run(catalog, &plan_physical(catalog, &plan, &CostConstants::default()), opts)
 }
 
-/// Execute an already-built logical plan with default options.
-pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<QueryResult> {
-    execute_plan_with(catalog, plan, &ExecOptions::default())
-}
-
-/// Execute an already-built logical plan with explicit options.
-pub fn execute_plan_with(
+/// Execute an already-built (typically cached) physical plan. Estimates
+/// ride along into the profile (one `plan.estimate` point) so
+/// `explain_analyze` can show estimated vs actual cost side by side.
+pub fn execute_physical_with(
     catalog: &Catalog,
-    plan: &LogicalPlan,
+    plan: &PhysicalPlan,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
+    if let Some(ctx) = &opts.profile {
+        let est = plan.root_estimate();
+        ctx.point(
+            "plan.estimate",
+            vec![
+                ("est_rows", (est.rows.max(0.0).round() as u64).into()),
+                ("est_cost_us", (est.cost_us.max(0.0).round() as u64).into()),
+            ],
+        );
+    }
+    run(catalog, plan, opts)
+}
+
+fn run(catalog: &Catalog, plan: &PhysicalPlan, opts: &ExecOptions) -> Result<QueryResult> {
     // Always collect pruning stats; a caller-supplied collector keeps
     // accumulating across queries, so report this query as a delta.
     let collector: Arc<ScanStatsCollector> = opts.stats.clone().unwrap_or_default();
@@ -86,7 +100,7 @@ pub fn execute_plan_with(
     // token or an already-expired deadline.
     opts.governor_check()?;
     let mut scanned = 0usize;
-    let table = exec(catalog, plan, &mut scanned, &opts)?;
+    let table = exec(catalog, &plan.root, &mut scanned, &opts)?;
     let scan_stats = collector.snapshot().since(&before);
     if let Some(ctx) = &opts.profile {
         ctx.point(
@@ -109,37 +123,7 @@ pub fn execute_plan_with(
             );
         }
     }
-    Ok(QueryResult { table, rows_scanned: scanned, scan_stats, profile: None })
-}
-
-/// [`execute_with`], plus an attached [`QueryProfile`]: the SQL-string
-/// entry point behind the session's `EXPLAIN ANALYZE`.
-pub fn execute_profiled(
-    catalog: &Catalog,
-    sql: &str,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let stmt = parse_select(sql)?;
-    let plan = LogicalPlan::from_statement(&stmt)?;
-    let plan = optimize(&plan);
-    execute_plan_profiled(catalog, &plan, opts)
-}
-
-/// Execute a plan with a fresh [`ProfileCollector`] and attach the
-/// assembled profile tree to the result. Callers that record their own
-/// points around the query (the resilient ladder) instead create a
-/// collector themselves, set [`ExecOptions::profile`] from it, and call
-/// [`execute_plan_with`] directly.
-pub fn execute_plan_profiled(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let collector = ProfileCollector::new();
-    let opts = ExecOptions { profile: Some(collector.context()), ..opts.clone() };
-    let mut r = execute_plan_with(catalog, plan, &opts)?;
-    r.profile = Some(collector.build("query"));
-    Ok(r)
+    Ok(QueryResult { table, rows_scanned: scanned, scan_stats })
 }
 
 /// Materialize a base-table scan: zero-copy clone/projection plus the
@@ -181,17 +165,17 @@ fn scan_table(
 }
 
 /// Dotted span name for a plan node (DESIGN.md §12 taxonomy).
-fn plan_node_name(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "plan.scan",
-        LogicalPlan::EmptyScan { .. } => "plan.scan.empty",
-        LogicalPlan::Join { .. } => "plan.join",
-        LogicalPlan::Filter { .. } => "plan.filter",
-        LogicalPlan::Aggregate { .. } => "plan.aggregate",
-        LogicalPlan::Project { .. } => "plan.project",
-        LogicalPlan::Sort { .. } => "plan.sort",
-        LogicalPlan::Distinct { .. } => "plan.distinct",
-        LogicalPlan::Limit { .. } => "plan.limit",
+fn plan_node_name(node: &PhysicalNode) -> &'static str {
+    match node {
+        PhysicalNode::Scan { .. } => "plan.scan",
+        PhysicalNode::EmptyScan { .. } => "plan.scan.empty",
+        PhysicalNode::Join { .. } => "plan.join",
+        PhysicalNode::Filter { .. } => "plan.filter",
+        PhysicalNode::Aggregate { .. } => "plan.aggregate",
+        PhysicalNode::Project { .. } => "plan.project",
+        PhysicalNode::Sort { .. } => "plan.sort",
+        PhysicalNode::Distinct { .. } => "plan.distinct",
+        PhysicalNode::Limit { .. } => "plan.limit",
     }
 }
 
@@ -201,16 +185,16 @@ fn plan_node_name(plan: &LogicalPlan) -> &'static str {
 /// points — so the profile tree mirrors the plan tree.
 fn exec(
     catalog: &Catalog,
-    plan: &LogicalPlan,
+    node: &PhysicalNode,
     scanned: &mut usize,
     opts: &ExecOptions,
 ) -> Result<Table> {
     let Some(ctx) = &opts.profile else {
-        return exec_node(catalog, plan, scanned, opts);
+        return exec_node(catalog, node, scanned, opts);
     };
-    let mut span = ctx.span(plan_node_name(plan));
+    let mut span = ctx.span(plan_node_name(node));
     let child = ExecOptions { profile: Some(span.child()), ..opts.clone() };
-    let r = exec_node(catalog, plan, scanned, &child);
+    let r = exec_node(catalog, node, scanned, &child);
     match &r {
         Ok(t) => span.field("rows_out", t.row_count() as u64),
         Err(e) => span.field("error", e.to_string()),
@@ -220,15 +204,15 @@ fn exec(
 
 fn exec_node(
     catalog: &Catalog,
-    plan: &LogicalPlan,
+    node: &PhysicalNode,
     scanned: &mut usize,
     opts: &ExecOptions,
 ) -> Result<Table> {
-    match plan {
-        LogicalPlan::Scan { table, projection } => {
+    match node {
+        PhysicalNode::Scan { table, projection, .. } => {
             scan_table(catalog, table, projection, scanned, opts)
         }
-        LogicalPlan::EmptyScan { table, projection } => {
+        PhysicalNode::EmptyScan { table, projection, .. } => {
             // Statically empty (`LIMIT 0` elision): resolve the schema
             // like a scan, but touch zero rows and charge nothing.
             let t = catalog.get(table)?;
@@ -245,30 +229,46 @@ fn exec_node(
             };
             Ok(t.take(&[])?)
         }
-        LogicalPlan::Join { left, right, left_col, right_col } => {
+        PhysicalNode::Join { left, right, left_col, right_col, .. } => {
             let lt = exec(catalog, left, scanned, opts)?;
             let rt = exec(catalog, right, scanned, opts)?;
             hash_join(&lt, &rt, left_col, right_col, opts)
         }
-        LogicalPlan::Filter { input, predicate } => {
+        PhysicalNode::Filter { input, predicate, pruner, .. } => {
             let t = exec(catalog, input, scanned, opts)?;
             let predicate = normalize_expr(predicate, t.schema())?;
-            parallel_filter(&t, &predicate, opts)
+            parallel_filter(&t, &predicate, pruner.as_ref(), opts)
         }
-        LogicalPlan::Aggregate { input, group_by, aggs } => {
+        PhysicalNode::Aggregate { input, group_by, aggs, zone_agg, .. } => {
             // Pipeline shape Aggregate(Filter?(Scan)): fuse the filter
             // into the per-morsel aggregation instead of materializing
             // the filtered table.
-            if let Some((table, projection, predicate)) = scan_pipeline(input) {
+            let (source, filter) = match &**input {
+                PhysicalNode::Filter { input, predicate, pruner, .. } => {
+                    (&**input, Some((predicate, pruner.as_ref())))
+                }
+                other => (other, None),
+            };
+            if let PhysicalNode::Scan { table, projection, .. } = source {
                 let t = scan_table(catalog, table, projection, scanned, opts)?;
                 let predicate =
-                    predicate.map(|p| normalize_expr(p, t.schema())).transpose()?;
-                return aggregate_pipeline(&t, predicate.as_ref(), group_by, aggs, opts);
+                    filter.map(|(p, _)| normalize_expr(p, t.schema())).transpose()?;
+                let pruner = filter.and_then(|(_, p)| p);
+                let grid = zone_agg.map(|z| z.grid);
+                return aggregate_pipeline(
+                    &t,
+                    predicate.as_ref(),
+                    pruner,
+                    grid,
+                    group_by,
+                    aggs,
+                    opts,
+                );
             }
             let t = exec(catalog, input, scanned, opts)?;
             aggregate(&t, group_by, aggs)
         }
-        LogicalPlan::Project { input, exprs, star } => {
+        PhysicalNode::Project { input, exprs, star, .. } => {
             let t = exec(catalog, input, scanned, opts)?;
             let mut fields = Vec::new();
             let mut cols = Vec::new();
@@ -286,13 +286,13 @@ fn exec_node(
             }
             Ok(Table::new("result", Schema::new(fields), cols)?)
         }
-        LogicalPlan::Sort { input, keys } => {
+        PhysicalNode::Sort { input, keys, .. } => {
             let t = exec(catalog, input, scanned, opts)?;
             // Sorting gathers every input row into a fresh table.
             charge_take(opts, &t, t.row_count())?;
             sort(&t, keys)
         }
-        LogicalPlan::Distinct { input } => {
+        PhysicalNode::Distinct { input, .. } => {
             let t = exec(catalog, input, scanned, opts)?;
             let mut seen: std::collections::HashSet<Vec<KeyPart>> =
                 std::collections::HashSet::new();
@@ -310,7 +310,7 @@ fn exec_node(
             charge_take(opts, &t, keep.len())?;
             Ok(t.take(&keep)?)
         }
-        LogicalPlan::Limit { input, n } => {
+        PhysicalNode::Limit { input, n, .. } => {
             let t = exec(catalog, input, scanned, opts)?;
             let keep: Vec<usize> = (0..t.row_count().min(*n)).collect();
             charge_take(opts, &t, keep.len())?;
@@ -346,25 +346,6 @@ fn charge_take(opts: &ExecOptions, t: &Table, rows: usize) -> Result<()> {
     opts.charge_memory(table_bytes / t.row_count() * rows)
 }
 
-/// A recognized morselizable pipeline tail: `(table, projection,
-/// predicate)`.
-type ScanPipeline<'p> = (&'p str, &'p Option<Vec<String>>, Option<&'p ScalarExpr>);
-
-/// Recognize a morselizable pipeline tail: a bare `Scan`, or
-/// `Filter(Scan)`.
-fn scan_pipeline(plan: &LogicalPlan) -> Option<ScanPipeline<'_>> {
-    match plan {
-        LogicalPlan::Scan { table, projection } => Some((table, projection, None)),
-        LogicalPlan::Filter { input, predicate } => match &**input {
-            LogicalPlan::Scan { table, projection } => {
-                Some((table, projection, Some(predicate)))
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Record one pruning-decision leaf per zone-aligned chunk, attributed
 /// to the synopsis tier that decided it (`skip_zonemap` = write-time
 /// data zones, `skip_model` = model-derived bounds, `accept_all` =
@@ -396,10 +377,15 @@ fn profile_zones(ctx: Option<&ProfileContext>, chunks: &[(usize, usize, ZoneDeci
 /// per-row `eval_mask`. Pruning never changes the kept row set (skipped
 /// zones provably hold no TRUE rows), so output is bit-identical to the
 /// unpruned path.
-fn parallel_filter(t: &Table, predicate: &ScalarExpr, opts: &ExecOptions) -> Result<Table> {
-    let pruner = if opts.pruning { PruningPredicate::extract(predicate) } else { None };
+fn parallel_filter(
+    t: &Table,
+    predicate: &ScalarExpr,
+    pruner: Option<&PruningPredicate>,
+    opts: &ExecOptions,
+) -> Result<Table> {
+    let pruner = pruner.filter(|_| opts.pruning);
     let conjuncts = predicate.conjuncts();
-    let locals = match (&pruner, t.synopsis()) {
+    let locals = match (pruner, t.synopsis()) {
         (Some(pruner), Some(synopsis)) => {
             parallel_morsels(t.row_count(), opts, |offset, len| {
                 let mut stats = ScanStats::default();
@@ -799,23 +785,22 @@ pub(crate) struct GroupPartial {
 
 // ------------------------------------------------- aggregate pushdown
 
-/// Zone-synopsis aggregate pushdown plan for one eligible query.
+/// Zone-synopsis aggregate pushdown for one query the planner found
+/// eligible (`crate::physical::zone_agg_grid`).
 ///
-/// Eligible shapes are global (no GROUP BY) aggregates whose every
-/// argument is `*` or a bare Int64/Float64 column carrying exact data
-/// zones. For those, the pipeline switches to the *zone-unit grammar*:
-/// each morsel splits at the `grid` into units, every unit folds into a
-/// fresh accumulator, and unit partials merge in unit order (then
-/// morsel order). Because the grammar is a function of the query and
-/// the table — never of [`ExecOptions`] — the pruned and unpruned runs
-/// produce the same partial structure, and a unit partial taken from
-/// the materialized zone synopsis (built by the identical row-order
-/// fold) substitutes bit-for-bit for the scanned one.
+/// The pipeline runs the *zone-unit grammar*: each morsel splits at the
+/// `grid` into units, every unit folds into a fresh accumulator, and
+/// unit partials merge in unit order (then morsel order). Because the
+/// grid is a function of the query and the table — never of
+/// [`ExecOptions`] — the pruned and unpruned runs produce the same
+/// partial structure, and a unit partial taken from the materialized
+/// zone synopsis (built by the identical row-order fold) substitutes
+/// bit-for-bit for the scanned one.
 struct AggPushdown<'t> {
-    /// Unit granularity: the finest `zone_rows` among the argument
-    /// columns and the pruning predicate's columns, so units line up
-    /// with both the synopsis zones and the pruner's chunk grid.
+    /// Unit granularity, from the plan's `ZoneAggPath`.
     grid: usize,
+    /// The scanned table's synopsis the partials come from.
+    synopsis: &'t TableSynopsis,
     /// One entry per aggregate argument.
     specs: Vec<PushSpec<'t>>,
 }
@@ -828,69 +813,25 @@ enum PushSpec<'t> {
     Column { name: String, zones: &'t ColumnZones },
 }
 
-/// Decide pushdown eligibility and the unit grid. Must depend only on
-/// the table and the query (see [`AggPushdown`]); `opts.pruning` in
-/// particular must not influence the result.
-fn plan_agg_pushdown<'t>(
-    t: &'t Table,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    args: &[AggArg],
-) -> Option<AggPushdown<'t>> {
-    if !group_by.is_empty() {
-        return None;
-    }
-    let synopsis = t.synopsis()?;
-    let mut specs = Vec::with_capacity(args.len());
-    let mut grid: Option<usize> = None;
-    for a in args {
-        match a {
-            AggArg::Star => specs.push(PushSpec::Star),
-            AggArg::Numeric(ScalarExpr::Column(c)) => {
-                let zones = synopsis.column(c)?;
-                // Bool columns aggregate through the 0/1 coercion path,
-                // which the fused numeric kernel does not speak.
-                let numeric = t
-                    .column(c)
-                    .map(|col| {
-                        matches!(col.data_type(), DataType::Int64 | DataType::Float64)
-                    })
-                    .unwrap_or(false);
-                if zones.source != ZoneSource::Data || !numeric {
-                    return None;
+impl<'t> AggPushdown<'t> {
+    /// Bind the planned grid to the arguments' zones in the scanned
+    /// table's synopsis. `None` only when the table no longer matches
+    /// the plan (a plan held across a change to the table); the
+    /// pipeline then runs the shared-accumulator grammar, which is
+    /// correct for any table.
+    fn bind(grid: usize, synopsis: &'t TableSynopsis, args: &[AggArg]) -> Option<Self> {
+        let specs = args
+            .iter()
+            .map(|a| match a {
+                AggArg::Star => Some(PushSpec::Star),
+                AggArg::Numeric(ScalarExpr::Column(c)) => {
+                    Some(PushSpec::Column { name: c.clone(), zones: synopsis.column(c)? })
                 }
-                grid = Some(grid.map_or(zones.zone_rows, |g| g.min(zones.zone_rows)));
-                specs.push(PushSpec::Column { name: c.clone(), zones });
-            }
-            _ => return None,
-        }
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(AggPushdown { grid, synopsis, specs })
     }
-    // Fold in the pruning predicate's grid unconditionally — the
-    // unpruned baseline must chunk exactly like the pruned run plans.
-    let pred_grid = predicate
-        .and_then(PruningPredicate::extract)
-        .map(|p| p.grid(synopsis));
-    let grid = [grid, pred_grid]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(lawsdb_storage::DEFAULT_ZONE_ROWS);
-    Some(AggPushdown { grid, specs })
-}
-
-/// Plan-time view of pushdown eligibility: the unit grid the executor
-/// would fold at, or `None` when the query shape is not eligible. The
-/// physical planner uses this to price the zone-aggregate access path
-/// against the row scan with the *same* eligibility rule the executor
-/// applies, so EXPLAIN never advertises a path execution won't take.
-pub(crate) fn agg_pushdown_grid(
-    t: &Table,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Option<usize> {
-    let args = prepare_agg_args(t, aggs).ok()?;
-    plan_agg_pushdown(t, predicate, group_by, &args).map(|p| p.grid)
 }
 
 /// Split `[offset, offset + len)` at multiples of `grid`.
@@ -1197,10 +1138,10 @@ fn assemble_aggregate(
 }
 
 /// Morsel-parallel aggregation over a scanned table, with an optional
-/// fused filter predicate.
+/// fused filter predicate and the plan's pruner.
 ///
-/// Two accumulation grammars, chosen by [`plan_agg_pushdown`] from the
-/// query shape and the table alone (never from `opts`):
+/// Two accumulation grammars, chosen by the plan (`grid` is the
+/// `ZoneAggPath` grid of a pushdown-eligible aggregate), never by `opts`:
 ///
 /// * **Zone-unit grammar** (pushdown-eligible global aggregates): each
 ///   morsel splits at the synopsis grid; every unit folds into a fresh
@@ -1214,7 +1155,7 @@ fn assemble_aggregate(
 ///   thread count, morsel size, or pruning setting.
 /// * **Shared-accumulator grammar** (grouped or non-bare-column
 ///   aggregates): one accumulator per morsel shared across the
-///   surviving chunks, exactly as before — skipped zones hold no
+///   surviving chunks — skipped zones hold no
 ///   predicate-TRUE rows, accept-all zones accumulate without
 ///   evaluating the mask, and merge order keeps sums bit-identical to
 ///   the unpruned plan.
@@ -1223,11 +1164,13 @@ fn assemble_aggregate(
 fn aggregate_pipeline(
     t: &Table,
     predicate: Option<&ScalarExpr>,
+    pruner: Option<&PruningPredicate>,
+    grid: Option<usize>,
     group_by: &[String],
     aggs: &[AggSpec],
     opts: &ExecOptions,
 ) -> Result<Table> {
-    let (group_by, parts) = aggregate_partials(t, predicate, group_by, aggs, opts)?;
+    let (group_by, parts) = aggregate_partials(t, predicate, pruner, grid, group_by, aggs, opts)?;
     assemble_aggregate(t, &group_by, aggs, merge_partials(parts))
 }
 
@@ -1240,6 +1183,8 @@ fn aggregate_pipeline(
 pub(crate) fn aggregate_partials(
     t: &Table,
     predicate: Option<&ScalarExpr>,
+    pruner: Option<&PruningPredicate>,
+    grid: Option<usize>,
     group_by: &[String],
     aggs: &[AggSpec],
     opts: &ExecOptions,
@@ -1249,13 +1194,10 @@ pub(crate) fn aggregate_partials(
         .map(|g| normalize_name(t.schema(), g))
         .collect::<Result<_>>()?;
     let args = prepare_agg_args(t, aggs)?;
-    let push = plan_agg_pushdown(t, predicate, &group_by, &args);
-    let pruner = match (opts.pruning, predicate) {
-        (true, Some(p)) => PruningPredicate::extract(p),
-        _ => None,
-    };
-    let parts = match (&push, t.synopsis()) {
-        (Some(push), Some(synopsis)) => {
+    let pruner = pruner.filter(|_| opts.pruning);
+    let push = grid.zip(t.synopsis()).and_then(|(g, s)| AggPushdown::bind(g, s, &args));
+    let parts = match &push {
+        Some(push) => {
             parallel_morsels(t.row_count(), opts, |offset, len| {
                 let mut stats = ScanStats::default();
                 let mut units: Vec<GroupPartial> = Vec::new();
@@ -1282,10 +1224,10 @@ pub(crate) fn aggregate_partials(
                     }
                     Ok(())
                 };
-                match &pruner {
+                match pruner {
                     Some(pruner) => {
                         let chunks =
-                            pruner.plan_range(synopsis, push.grid, offset, len, &mut stats);
+                            pruner.plan_range(push.synopsis, push.grid, offset, len, &mut stats);
                         profile_zones(opts.profile.as_ref(), &chunks);
                         for (o, l, d) in chunks {
                             match d {
@@ -1321,7 +1263,7 @@ pub(crate) fn aggregate_partials(
                 Ok(merge_partials(units))
             })?
         }
-        _ => match (&pruner, t.synopsis()) {
+        None => match (pruner, t.synopsis()) {
             (Some(pruner), Some(synopsis)) => {
                 parallel_morsels(t.row_count(), opts, |offset, len| {
                     let mut stats = ScanStats::default();
@@ -1366,6 +1308,8 @@ pub(crate) fn aggregate_partials(
 fn aggregate(t: &Table, group_by: &[String], aggs: &[AggSpec]) -> Result<Table> {
     aggregate_pipeline(
         t,
+        None,
+        None,
         None,
         group_by,
         aggs,
@@ -1587,18 +1531,17 @@ mod tests {
             // Optimized path: EmptyScan, zero IO.
             let opt = execute_with(&c, sql, &ExecOptions::default()).unwrap();
             // Unoptimized path: full scan, limit drops everything.
-            let mut scanned = 0usize;
-            let base =
-                exec(&c, &raw, &mut scanned, &ExecOptions::default()).unwrap();
+            let raw = plan_physical(&c, &raw, &CostConstants::default());
+            let base = run(&c, &raw, &ExecOptions::default()).unwrap();
             assert_eq!(opt.table.row_count(), 0, "{sql}");
-            assert_eq!(base.row_count(), 0, "{sql}");
+            assert_eq!(base.table.row_count(), 0, "{sql}");
             assert_eq!(
                 opt.table.schema().names(),
-                base.schema().names(),
+                base.table.schema().names(),
                 "schema must survive elision: {sql}"
             );
             assert_eq!(opt.rows_scanned, 0, "elided plan must do zero IO: {sql}");
-            assert_eq!(scanned, 5, "unoptimized plan scans the table: {sql}");
+            assert_eq!(base.rows_scanned, 5, "unoptimized plan scans the table: {sql}");
         }
     }
 
@@ -1961,17 +1904,23 @@ mod pruning_exec_tests {
         );
     }
 
+    /// Run `sql` with a fresh profile sink and build its tree.
+    fn profiled(c: &Catalog, sql: &str, opts: &ExecOptions) -> lawsdb_obs::QueryProfile {
+        let collector = lawsdb_obs::ProfileCollector::new();
+        let opts = ExecOptions { profile: Some(collector.context()), ..opts.clone() };
+        execute_with(c, sql, &opts).unwrap();
+        collector.build("query")
+    }
+
     #[test]
-    fn profiled_run_attaches_a_plan_shaped_tree() {
+    fn profiled_run_records_a_plan_shaped_tree() {
         use lawsdb_obs::FieldValue;
         let c = zoned_catalog();
-        let r = execute_profiled(
+        let p = profiled(
             &c,
             "SELECT k FROM z WHERE k < 64",
             &ExecOptions { threads: 4, morsel_rows: 128, ..ExecOptions::default() },
-        )
-        .unwrap();
-        let p = r.profile.expect("profiled entry point attaches a tree");
+        );
         assert_eq!(p.root.name, "query");
         // Optimizer pushes the projection above Filter(Scan).
         assert!(!p.find("plan.filter").is_empty());
@@ -2004,8 +1953,7 @@ mod pruning_exec_tests {
             budget: ResourceBudget { max_rows: Some(10_000), ..ResourceBudget::default() },
             ..ExecOptions::default()
         };
-        let r = execute_profiled(&c, "SELECT k FROM z WHERE k < 64", &opts).unwrap();
-        let p = r.profile.unwrap();
+        let p = profiled(&c, "SELECT k FROM z WHERE k < 64", &opts);
         let charges = p.find("governor.rows");
         assert_eq!(charges.len(), 1, "one admission charge per scan");
         assert_eq!(charges[0].field("rows").and_then(FieldValue::as_u64), Some(512));

@@ -48,12 +48,9 @@ pub mod pruning;
 pub mod sexpr;
 pub mod sql;
 
-pub use cost::{CostConstants, CostModel};
+pub use cost::CostConstants;
 pub use error::{QueryError, Result};
-pub use exec::{
-    execute, execute_plan, execute_plan_profiled, execute_plan_with, execute_profiled,
-    execute_with, QueryResult,
-};
+pub use exec::{execute, execute_physical_with, execute_with, QueryResult};
 pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
 pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use morsel::ExecOptions;
@@ -61,7 +58,7 @@ pub use partial::{
     assemble_partials, group_key_hash, limit_rows, merge_shard_partials,
     shard_partials_contiguous, shard_partials_sparse, sort_rows, MergedPartials, ShardPartials,
 };
-pub use physical::{execute_physical_with, plan_physical, AccessPlan, Estimate, PhysicalPlan};
+pub use physical::{plan_physical, AccessPlan, Estimate, PhysicalPlan};
 pub use plan::LogicalPlan;
 pub use plan_cache::{normalize_statement, PlanCache};
 pub use pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};

@@ -33,7 +33,9 @@ use crate::exec::{
     normalize_expr, normalize_name, prepare_agg_args, sort, Accumulator, GroupPartial, KeyPart,
 };
 use crate::morsel::ExecOptions;
+use crate::physical::zone_agg_grid;
 use crate::plan::AggSpec;
+use crate::pruning::PruningPredicate;
 use lawsdb_obs::fields;
 use crate::sexpr::ScalarExpr;
 use crate::sql::OrderBy;
@@ -53,7 +55,8 @@ pub struct ShardPartials {
 /// multiple of `opts.morsel_rows` so shard-local morsels coincide with
 /// global morsels. Runs the engine's own pipeline grammars (zone-unit
 /// pushdown included, when the shard table carries a synopsis on the
-/// same grid as the global table).
+/// same grid as the global table). No plan exists here, so the shard
+/// derives its pruner and applies the planner's own pushdown rule.
 pub fn shard_partials_contiguous(
     shard: &Table,
     start: usize,
@@ -71,7 +74,10 @@ pub fn shard_partials_contiguous(
         });
     }
     let predicate = predicate.map(|p| normalize_expr(p, shard.schema())).transpose()?;
-    let (_, parts) = aggregate_partials(shard, predicate.as_ref(), group_by, aggs, opts)?;
+    let pruner = predicate.as_ref().and_then(PruningPredicate::extract);
+    let grid = zone_agg_grid(shard, pruner.as_ref(), group_by, aggs);
+    let (_, parts) =
+        aggregate_partials(shard, predicate.as_ref(), pruner.as_ref(), grid, group_by, aggs, opts)?;
     let base = start / opts.morsel_rows;
     let cells = parts
         .into_iter()

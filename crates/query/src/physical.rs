@@ -1,12 +1,15 @@
-//! Logical→physical planning.
+//! Logical→physical planning: the plan the executor runs.
 //!
 //! The heuristic optimizer ([`crate::optimize`]) rewrites the logical
-//! tree; this pass then prices it. For every node it derives an
+//! tree; this pass lowers it once into a [`PhysicalPlan`] and makes
+//! every access-path decision on the way. For every node it derives an
 //! [`Estimate`] (output cardinality + cumulative cost in µs) from
 //! zonemap selectivity statistics and the per-operator constants in
 //! [`CostConstants`], and for `Filter`-over-`Scan` pipelines it
 //! additionally:
 //!
+//! - extracts the [`PruningPredicate`] the executor prunes zones with,
+//!   after resolving column names against the scanned table;
 //! - walks the table synopsis zone-by-zone to build an [`AccessPlan`]
 //!   (how many zones will be skipped outright, answered wholesale from
 //!   compressed-domain bounds, or evaluated row-at-a-time), pricing
@@ -17,20 +20,21 @@
 //!   associative over `(truth, known)` masks, so any reordering is
 //!   result-preserving — `tests/optimizer_equivalence.rs` pins this.
 //!
-//! The physical tree lowers back to a [`LogicalPlan`] for execution
-//! (`to_logical`), renders estimate-annotated EXPLAIN lines, and is the
-//! unit cached by [`crate::plan_cache::PlanCache`].
+//! Global aggregates over such pipelines get a [`ZoneAggPath`] whose
+//! unit grid comes from `zone_agg_grid`, the one zone-aggregate
+//! eligibility rule. The executor ([`crate::exec`]) dispatches on
+//! [`PhysicalNode`] and re-derives none of these decisions. The plan
+//! also renders estimate-annotated EXPLAIN lines, and is the unit
+//! cached by [`crate::plan_cache::PlanCache`].
 
 use crate::cost::CostConstants;
-use crate::error::Result;
-use crate::exec::{execute_plan_with, QueryResult};
-use crate::morsel::ExecOptions;
+use crate::exec::normalize_expr;
 use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningConjunct, PruningPredicate, ScanStats, ZoneDecision};
 use crate::sexpr::ScalarExpr;
 use crate::sql::OrderBy;
 use lawsdb_storage::zonemap::ZoneSource;
-use lawsdb_storage::Catalog;
+use lawsdb_storage::{Catalog, DataType, Table};
 
 /// Selectivity assumed for conjuncts the synopsis cannot estimate
 /// (non-sargable residuals, unknown columns).
@@ -88,14 +92,15 @@ impl AccessPlan {
     }
 }
 
-/// Plan-time estimate of the zone-aggregate pushdown path: for eligible
-/// global aggregates, zones the pruner accepts wholesale answer from
-/// their materialized [`ZoneAgg`](lawsdb_storage::zonemap::ZoneAgg)
-/// partials (constant work per zone, zero page reads) while residual
-/// `Eval` zones run the fused filter+aggregate kernel.
+/// The zone-aggregate pushdown path: for eligible global aggregates,
+/// zones the pruner accepts wholesale answer from their materialized
+/// [`ZoneAgg`](lawsdb_storage::zonemap::ZoneAgg) partials (constant
+/// work per zone, zero page reads) while residual `Eval` zones run the
+/// fused filter+aggregate kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ZoneAggPath {
-    /// Unit granularity the executor folds at.
+    /// Unit granularity the executor folds at (the zone-unit grammar;
+    /// see `zone_agg_grid`).
     pub grid: usize,
     /// Units expected to substitute materialized partials.
     pub zones_pushed: usize,
@@ -111,7 +116,8 @@ impl ZoneAggPath {
 }
 
 /// One node of the physical plan: the logical operator plus its
-/// estimate, and for filters the chosen conjunct order + access path.
+/// estimate, and for filters the chosen conjunct order, pruning
+/// predicate and access path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalNode {
     /// Base-table page scan.
@@ -153,6 +159,10 @@ pub enum PhysicalNode {
         predicate: ScalarExpr,
         /// Combined estimated selectivity of all conjuncts.
         selectivity: f64,
+        /// Sargable conjuncts the executor prunes zones with, names
+        /// resolved against the scanned table. Set only when the input
+        /// is a base scan.
+        pruner: Option<PruningPredicate>,
         /// Zone access path when the input is a base scan with a
         /// synopsis.
         access: Option<AccessPlan>,
@@ -229,47 +239,6 @@ impl PhysicalNode {
         }
     }
 
-    /// Lower back to the logical operator tree the executor runs.
-    pub fn to_logical(&self) -> LogicalPlan {
-        match self {
-            PhysicalNode::Scan { table, projection, .. } => {
-                LogicalPlan::Scan { table: table.clone(), projection: projection.clone() }
-            }
-            PhysicalNode::EmptyScan { table, projection, .. } => {
-                LogicalPlan::EmptyScan { table: table.clone(), projection: projection.clone() }
-            }
-            PhysicalNode::Join { left, right, left_col, right_col, .. } => LogicalPlan::Join {
-                left: Box::new(left.to_logical()),
-                right: Box::new(right.to_logical()),
-                left_col: left_col.clone(),
-                right_col: right_col.clone(),
-            },
-            PhysicalNode::Filter { input, predicate, .. } => LogicalPlan::Filter {
-                input: Box::new(input.to_logical()),
-                predicate: predicate.clone(),
-            },
-            PhysicalNode::Aggregate { input, group_by, aggs, .. } => LogicalPlan::Aggregate {
-                input: Box::new(input.to_logical()),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            PhysicalNode::Project { input, exprs, star, .. } => LogicalPlan::Project {
-                input: Box::new(input.to_logical()),
-                exprs: exprs.clone(),
-                star: *star,
-            },
-            PhysicalNode::Distinct { input, .. } => {
-                LogicalPlan::Distinct { input: Box::new(input.to_logical()) }
-            }
-            PhysicalNode::Sort { input, keys, .. } => {
-                LogicalPlan::Sort { input: Box::new(input.to_logical()), keys: keys.clone() }
-            }
-            PhysicalNode::Limit { input, n, .. } => {
-                LogicalPlan::Limit { input: Box::new(input.to_logical()), n: *n }
-            }
-        }
-    }
-
     fn explain_into(&self, out: &mut String, depth: usize) {
         let pad = "  ".repeat(depth);
         let est = self.estimate();
@@ -294,7 +263,9 @@ impl PhysicalNode {
                 left.explain_into(out, depth + 1);
                 right.explain_into(out, depth + 1);
             }
-            PhysicalNode::Filter { input, predicate, selectivity, access, reordered, .. } => {
+            PhysicalNode::Filter {
+                input, predicate, selectivity, pruner, access, reordered, ..
+            } => {
                 out.push_str(&format!(
                     "{pad}Filter {predicate}{ann} sel={selectivity:.3}{}\n",
                     if *reordered { " (reordered)" } else { "" }
@@ -302,18 +273,16 @@ impl PhysicalNode {
                 // Mirror the logical EXPLAIN's Pruning line, annotated
                 // with the planned zone access path. Appended, never
                 // restructured: consumers index EXPLAIN output by line.
-                if matches!(&**input, PhysicalNode::Scan { .. }) {
-                    if let Some(p) = PruningPredicate::extract(predicate) {
-                        let zones = match access {
-                            Some(a) => format!(" {}", a.describe()),
-                            None => String::new(),
-                        };
-                        out.push_str(&format!(
-                            "{pad}  Pruning [{}]{}{zones}\n",
-                            p.describe(),
-                            if p.exact { " (exact)" } else { "" }
-                        ));
-                    }
+                if let Some(p) = pruner {
+                    let zones = match access {
+                        Some(a) => format!(" {}", a.describe()),
+                        None => String::new(),
+                    };
+                    out.push_str(&format!(
+                        "{pad}  Pruning [{}]{}{zones}\n",
+                        p.describe(),
+                        if p.exact { " (exact)" } else { "" }
+                    ));
                 }
                 input.explain_into(out, depth + 1);
             }
@@ -367,20 +336,12 @@ impl PhysicalNode {
 pub struct PhysicalPlan {
     /// Root physical node.
     pub root: PhysicalNode,
-    /// Pre-lowered logical tree (what the executor actually runs),
-    /// computed once so cached plans do not re-lower per query.
-    lowered: LogicalPlan,
 }
 
 impl PhysicalPlan {
     /// The root node's estimate.
     pub fn root_estimate(&self) -> Estimate {
         self.root.estimate()
-    }
-
-    /// The logical tree this plan lowers to.
-    pub fn logical(&self) -> &LogicalPlan {
-        &self.lowered
     }
 
     /// EXPLAIN text: the logical plan shape with ` · est_rows=… `
@@ -397,30 +358,7 @@ impl PhysicalPlan {
 /// synopses degrade to default estimates, never to planning errors —
 /// execution reports those.
 pub fn plan_physical(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstants) -> PhysicalPlan {
-    let root = plan_node(catalog, plan, consts);
-    let lowered = root.to_logical();
-    PhysicalPlan { root, lowered }
-}
-
-/// Execute a physical plan. Estimates ride along into the profile (one
-/// `plan.estimate` point) so `explain_analyze` can show estimated vs
-/// actual cost side by side.
-pub fn execute_physical_with(
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    if let Some(ctx) = &opts.profile {
-        let est = plan.root_estimate();
-        ctx.point(
-            "plan.estimate",
-            vec![
-                ("est_rows", (est.rows.max(0.0).round() as u64).into()),
-                ("est_cost_us", (est.cost_us.max(0.0).round() as u64).into()),
-            ],
-        );
-    }
-    execute_plan_with(catalog, plan.logical(), opts)
+    PhysicalPlan { root: plan_node(catalog, plan, consts) }
 }
 
 fn plan_node(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstants) -> PhysicalNode {
@@ -604,113 +542,163 @@ fn plan_filter(
     let ordered: Vec<ScalarExpr> = infos.iter().map(|c| c.expr.clone()).collect();
     let predicate = and_chain(ordered);
 
+    // The pruner the executor will run, extracted once here from the
+    // predicate with names resolved exactly as the executor resolves
+    // them. An unknown table or column keeps the names as written:
+    // execution reports the error, EXPLAIN still renders the plan.
+    let pruner = match input {
+        LogicalPlan::Scan { .. } => {
+            let resolved =
+                scanned.as_ref().and_then(|t| normalize_expr(&predicate, t.schema()).ok());
+            PruningPredicate::extract(resolved.as_ref().unwrap_or(&predicate))
+        }
+        _ => None,
+    };
+
     // Per-zone access path + cost, when the synopsis can prune.
     let mut access = None;
     let mut cost_us = ie.cost_us + ie.rows * infos.len() as f64 * consts.eval_tuple_us;
-    if let (Some(table), Some(syn)) = (&scanned, synopsis) {
-        if let Some(pruner) = PruningPredicate::extract(&predicate) {
-            let a = access_plan(&pruner, syn, table.row_count());
-            // Eval zones pay materialize + short-circuit conjunct
-            // evaluation (conjunct i only sees rows surviving 0..i);
-            // accept zones pay a gather; skipped zones pay nothing.
-            let mut eval_per_row = 0.0;
-            let mut alive = 1.0;
-            for c in &infos {
-                eval_per_row += alive * consts.eval_tuple_us;
-                alive *= c.selectivity;
-            }
-            cost_us = a.zones_total() as f64 * consts.zone_decide_us
-                + a.rows_accept as f64 * consts.accept_tuple_us
-                + a.rows_eval as f64 * (consts.scan_tuple_us + eval_per_row);
-            access = Some(a);
+    if let (Some(table), Some(syn), Some(pruner)) = (&scanned, synopsis, &pruner) {
+        let a = access_plan(pruner, syn, table.row_count());
+        // Eval zones pay materialize + short-circuit conjunct
+        // evaluation (conjunct i only sees rows surviving 0..i);
+        // accept zones pay a gather; skipped zones pay nothing.
+        let mut eval_per_row = 0.0;
+        let mut alive = 1.0;
+        for c in &infos {
+            eval_per_row += alive * consts.eval_tuple_us;
+            alive *= c.selectivity;
         }
+        cost_us = a.zones_total() as f64 * consts.zone_decide_us
+            + a.rows_accept as f64 * consts.accept_tuple_us
+            + a.rows_eval as f64 * (consts.scan_tuple_us + eval_per_row);
+        access = Some(a);
     }
 
     PhysicalNode::Filter {
         input: Box::new(phys_input),
         predicate,
         selectivity: combined_sel,
+        pruner,
         access,
         reordered,
         est: Estimate { rows: (ie.rows * combined_sel).max(0.0), cost_us },
     }
 }
 
-/// Replay the pruner over the whole table to see which zones each
-/// access path gets (throwaway stats; the executor re-counts at run
-/// time).
+/// Replay the pruner over the whole table, exactly as one table-sized
+/// morsel of the executor would, to see which zones each access path
+/// gets. Zone counts are the replay's own [`ScanStats`], so they equal
+/// the executor's counters whenever morsels align with zones.
 fn access_plan(
     pruner: &PruningPredicate,
     synopsis: &lawsdb_storage::TableSynopsis,
     row_count: usize,
 ) -> AccessPlan {
     let mut stats = ScanStats::default();
-    let zone_rows = pruner.grid(synopsis);
-    let mut a = AccessPlan::default();
-    for (_, len, decision) in pruner.plan_range(synopsis, zone_rows, 0, row_count, &mut stats) {
-        // plan_range coalesces adjacent same-decision chunks; recover
-        // the zone count from the chunk length.
-        let zones = len.div_ceil(zone_rows).max(1);
+    let chunks = pruner.plan_range(synopsis, pruner.grid(synopsis), 0, row_count, &mut stats);
+    let mut a = AccessPlan {
+        zones_accept: stats.pages_compressed_eval,
+        zones_skip_data: stats.pages_pruned_zonemap,
+        zones_skip_model: stats.pages_pruned_model,
+        zones_eval: stats.pages_total - stats.pages_compressed_eval - stats.pages_pruned(),
+        ..AccessPlan::default()
+    };
+    for (_, len, decision) in chunks {
         match decision {
-            ZoneDecision::Eval => {
-                a.zones_eval += zones;
-                a.rows_eval += len;
-            }
-            ZoneDecision::AcceptAll => {
-                a.zones_accept += zones;
-                a.rows_accept += len;
-            }
-            ZoneDecision::Skip(ZoneSource::Data) => {
-                a.zones_skip_data += zones;
-                a.rows_skipped += len;
-            }
-            ZoneDecision::Skip(ZoneSource::Model) => {
-                a.zones_skip_model += zones;
-                a.rows_skipped += len;
-            }
+            ZoneDecision::Eval => a.rows_eval += len,
+            ZoneDecision::AcceptAll => a.rows_accept += len,
+            ZoneDecision::Skip(_) => a.rows_skipped += len,
         }
     }
     a
 }
 
+/// Zone-aggregate pushdown eligibility: the one rule that decides it,
+/// applied by the planner and by shard partial aggregation
+/// ([`crate::partial`]), which runs without a plan.
+///
+/// Eligible shapes are global (no GROUP BY) aggregates whose every
+/// argument is `*` or a bare Int64/Float64 column carrying exact data
+/// zones. Returns the unit grid the executor folds at: the finest
+/// `zone_rows` among the argument columns and the pruner's columns, so
+/// units line up with both the synopsis zones and the pruner's chunk
+/// grid. The grid is a function of the table and the query — never of
+/// [`crate::ExecOptions`] — so pruned and unpruned runs fold the same
+/// units, and a unit partial taken from the synopsis substitutes
+/// bit-for-bit for the scanned one.
+pub(crate) fn zone_agg_grid(
+    t: &Table,
+    pruner: Option<&PruningPredicate>,
+    group_by: &[String],
+    aggs: &[AggSpec],
+) -> Option<usize> {
+    if !group_by.is_empty() {
+        return None;
+    }
+    let synopsis = t.synopsis()?;
+    let mut grid: Option<usize> = None;
+    for arg in aggs.iter().filter_map(|a| a.arg.as_ref()) {
+        let ScalarExpr::Column(c) = normalize_expr(arg, t.schema()).ok()? else {
+            return None;
+        };
+        let zones = synopsis.column(&c)?;
+        // Bool and string columns aggregate through paths the fused
+        // numeric kernel does not speak.
+        let numeric = matches!(
+            t.column(&c).map(|col| col.data_type()),
+            Ok(DataType::Int64 | DataType::Float64)
+        );
+        if zones.source != ZoneSource::Data || !numeric {
+            return None;
+        }
+        grid = Some(grid.map_or(zones.zone_rows, |g| g.min(zones.zone_rows)));
+    }
+    let pred_grid = pruner.map(|p| p.grid(synopsis));
+    Some(
+        [grid, pred_grid]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(lawsdb_storage::DEFAULT_ZONE_ROWS),
+    )
+}
+
 /// Price the zone-aggregate pushdown path for a global aggregate whose
-/// input is a base scan (optionally filtered). Eligibility is decided
-/// by [`crate::exec::agg_pushdown_grid`] — the executor's own rule — so
-/// the planner never advertises a path execution won't take.
+/// input is a base scan (optionally filtered), when [`zone_agg_grid`]
+/// finds it eligible.
 fn plan_zone_agg(
     catalog: &Catalog,
     input: &PhysicalNode,
     group_by: &[String],
     aggs: &[AggSpec],
 ) -> Option<ZoneAggPath> {
-    let (table, predicate, access) = match input {
-        PhysicalNode::Scan { table, .. } => (table, None, None),
-        PhysicalNode::Filter { input, predicate, access, .. } => match &**input {
-            PhysicalNode::Scan { table, .. } => (table, Some(predicate), *access),
+    let (table, filtered, pruner, access) = match input {
+        PhysicalNode::Scan { table, .. } => (table, false, None, None),
+        PhysicalNode::Filter { input, pruner, access, .. } => match &**input {
+            PhysicalNode::Scan { table, .. } => (table, true, pruner.as_ref(), *access),
             _ => return None,
         },
         _ => return None,
     };
     let t = catalog.get(table).ok()?;
-    let grid = crate::exec::agg_pushdown_grid(&t, predicate, group_by, aggs)?;
-    let path = match (predicate, access) {
+    let grid = zone_agg_grid(&t, pruner, group_by, aggs)?;
+    let path = match (filtered, access) {
         // No filter: every unit answers from its materialized partial.
-        (None, _) => ZoneAggPath {
+        (false, _) => ZoneAggPath {
             grid,
             zones_pushed: t.row_count().div_ceil(grid.max(1)),
             rows_fused: 0,
         },
         // Pruned filter: accepted rows push, Eval rows run the fused
         // kernel, skipped rows vanish.
-        (Some(_), Some(a)) => ZoneAggPath {
+        (true, Some(a)) => ZoneAggPath {
             grid,
             zones_pushed: a.rows_accept.div_ceil(grid.max(1)),
             rows_fused: a.rows_eval,
         },
         // Unsargable filter: same grammar, but every unit scans.
-        (Some(_), None) => {
-            ZoneAggPath { grid, zones_pushed: 0, rows_fused: t.row_count() }
-        }
+        (true, None) => ZoneAggPath { grid, zones_pushed: 0, rows_fused: t.row_count() },
     };
     Some(path)
 }
@@ -725,6 +713,7 @@ fn and_chain(mut exprs: Vec<ScalarExpr>) -> ScalarExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::ExecOptions;
     use crate::optimize::optimize;
     use crate::plan::LogicalPlan;
     use crate::sql::parse_select;
@@ -887,17 +876,31 @@ mod tests {
     }
 
     #[test]
-    fn lowering_round_trips_through_the_executor() {
+    fn executor_prunes_with_the_planned_pruner() {
         let catalog = zoned_catalog();
-        let sql = "SELECT k FROM t WHERE k < 8 AND u < 50.0";
-        let stmt = parse_select(sql).unwrap();
-        let logical = optimize(&LogicalPlan::from_statement(&stmt).unwrap());
-        let plan = plan_physical(&catalog, &logical, &CostConstants::default());
-        let opts = ExecOptions::default();
-        let a = execute_physical_with(&catalog, &plan, &opts).unwrap();
-        let b = crate::exec::execute_plan_with(&catalog, &logical, &opts).unwrap();
-        assert_eq!(a.table.row_count(), b.table.row_count());
-        assert_eq!(a.rows_scanned, b.rows_scanned);
+        let plan = physical_for(&catalog, "SELECT k FROM t WHERE k < 8 AND u < 50.0");
+        let Some(PhysicalNode::Filter { pruner, access, .. }) = find_filter(&plan.root) else {
+            panic!("no filter in plan");
+        };
+        assert_eq!(pruner.as_ref().map(|p| p.describe()).as_deref(), Some("k < 8 AND u < 50"));
+        let a = access.expect("synopsis present, expected an access plan");
+        let opts = ExecOptions { threads: 1, morsel_rows: 128, ..ExecOptions::default() };
+        let r = crate::exec::execute_physical_with(&catalog, &plan, &opts).unwrap();
+        assert_eq!(r.scan_stats.pages_total, a.zones_total());
+        assert_eq!(r.scan_stats.pages_pruned_zonemap, a.zones_skip_data);
+        let want = (0..8).filter(|i| ((i * 37) % 100) < 50).count();
+        assert_eq!(r.table.row_count(), want);
+    }
+
+    #[test]
+    fn qualified_names_resolve_before_pruning() {
+        let catalog = zoned_catalog();
+        let plan = physical_for(&catalog, "SELECT k FROM t WHERE t.k < 50");
+        let Some(PhysicalNode::Filter { pruner, access, .. }) = find_filter(&plan.root) else {
+            panic!("no filter in plan");
+        };
+        assert_eq!(pruner.as_ref().map(|p| p.describe()).as_deref(), Some("k < 50"));
+        assert_eq!(access.map(|a| a.zones_skip_data), Some(7));
     }
 
     #[test]

@@ -123,19 +123,21 @@ fn transparent_answering_switches_paths() {
     let (db, _) = lofar_db(50, 0.05, 0.0);
     // Before capture: exact.
     let before = db
-        .query_transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-        .unwrap();
+        .query_resilient("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
+        .unwrap()
+        .answer;
     assert!(!before.is_approximate());
     capture(&db);
     // After capture: approximate, zero IO.
     let after = db
-        .query_transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-        .unwrap();
+        .query_resilient("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
+        .unwrap()
+        .answer;
     assert!(after.is_approximate());
     assert_eq!(after.rows_scanned(), 0);
     // A query no model covers still works exactly (COUNT(*) has no
     // modeled column).
-    let exact = db.query_transparent("SELECT COUNT(*) FROM measurements").unwrap();
+    let exact = db.query_resilient("SELECT COUNT(*) FROM measurements").unwrap().answer;
     assert!(!exact.is_approximate());
 }
 
