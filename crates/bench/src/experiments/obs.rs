@@ -4,22 +4,23 @@
 //! Two numbers per `(query, rows)` cell, exported as `BENCH_obs.json`:
 //!
 //! * **no-subscriber** — the cost of instrumentation when nothing is
-//!   listening. A disabled `event!` site is one relaxed atomic load
-//!   (the fields closure is never invoked), so the per-query cost is
-//!   bounded analytically: `disabled_emit_ns × sites / query_ns`,
-//!   where `sites` counts every record an instrumented run of the same
-//!   query produces (profile tree lines + ring events). Gate: ≤ 2 %.
+//!   listening. With no profile context entered, an `event!` site is
+//!   one thread-local read (the fields closure is never invoked), so
+//!   the per-query cost is bounded analytically:
+//!   `disabled_emit_ns × sites / query_ns`, where `sites` counts every
+//!   node of the profile tree an instrumented run of the same query
+//!   builds. Gate: ≤ 2 %.
 //! * **fully instrumented** — measured A/B: plain `execute_with` vs
-//!   `run_profiled` under an installed ring subscriber, best of
+//!   `run_profiled` (a fresh collector, its context entered on the
+//!   calling thread and set in `ExecOptions::profile`), best of
 //!   interleaved trials. Gate: ≤ 8 % (advisory in the report; CI warns).
 //!
 //! The analytic bound is deliberately pessimistic — it charges every
 //! *enabled*-run record as if it were a disabled site, although the
 //! plain path skips profile points on a `None` check that is cheaper
-//! than the atomic load being priced.
+//! than the thread-local read being priced.
 
 use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme};
-use lawsdb_obs::trace::tracer;
 use lawsdb_obs::{MetricsRegistry, ProfileCollector, QueryProfile};
 use lawsdb_query::{execute_with, ExecOptions, QueryResult};
 use lawsdb_storage::{Catalog, TableBuilder};
@@ -44,11 +45,11 @@ pub struct ObsPoint {
     pub rows: usize,
     /// Best plain wall time (µs) — no subscriber, no profile.
     pub plain_us: f64,
-    /// Best wall time (µs) with ring subscriber + profile collection.
+    /// Best wall time (µs) with an entered profile collector.
     pub instrumented_us: f64,
     /// `(instrumented − plain) / plain`, percent.
     pub instrumented_pct: f64,
-    /// Records an instrumented run produces (profile lines + events).
+    /// Nodes in the profile tree an instrumented run builds.
     pub sites: usize,
     /// Analytic no-subscriber bound: `disabled_emit_ns × sites`
     /// relative to the plain query time, percent.
@@ -122,11 +123,10 @@ impl ObsReport {
     }
 }
 
-/// Time `n` disabled `event!` emissions and return ns per site. The
-/// tracer must be uninstalled; each iteration is the production
-/// fast path — one relaxed load, fields never built.
+/// Time `n` disabled `event!` emissions and return ns per site. No
+/// context is entered on the calling thread, so each iteration is the
+/// production fast path — one thread-local read, fields never built.
 fn measure_disabled_emit_ns(n: usize) -> f64 {
-    assert!(!tracer().is_enabled(), "disabled-cost probe needs no subscriber");
     let (_, us) = crate::time_us(|| {
         for i in 0..n {
             lawsdb_obs::event!("bench.obs.probe", i = black_box(i as u64));
@@ -207,13 +207,15 @@ fn cluster_trace_point(rows: usize, shards: usize, iters: usize) -> ClusterTrace
 }
 
 /// A fully instrumented run: `execute_with` recording into a fresh
-/// profile collector, and the tree it built.
+/// profile collector whose context is also entered on this thread (so
+/// every `event!` site records), and the tree it built.
 fn run_profiled(
     catalog: &Catalog,
     sql: &str,
     opts: &ExecOptions,
 ) -> (QueryResult, QueryProfile) {
     let collector = ProfileCollector::new();
+    let _entered = collector.context().enter();
     let opts = ExecOptions { profile: Some(collector.context()), ..opts.clone() };
     let r = execute_with(catalog, sql, &opts).expect("instrumented");
     (r, collector.build("query"))
@@ -231,14 +233,10 @@ pub fn run(row_scales: &[usize]) -> ObsReport {
         for (label, sql) in morsel::QUERIES {
             let opts = ExecOptions { threads, morsel_rows, ..ExecOptions::default() };
 
-            // Count what a fully instrumented run records: every
-            // profile tree line plus every event the subscriber saw.
-            let sink = tracer().install_ring(4096);
-            let before = sink.cursor();
+            // Count what a fully instrumented run records: one
+            // profile tree line per node, events included.
             let (probe, profile) = run_profiled(&catalog, sql, &opts);
-            let events = (sink.cursor() - before) as usize;
-            let sites = profile.render().lines().count() + events;
-            tracer().uninstall();
+            let sites = profile.render().lines().count();
 
             // Same answer on both sides before any timing counts.
             let a = execute_with(&catalog, sql, &opts).expect("plain");
@@ -247,17 +245,13 @@ pub fn run(row_scales: &[usize]) -> ObsReport {
 
             // Interleave the trials so drift (thermal, scheduler) hits
             // both sides alike; keep the best of each.
-            let _ = tracer().install_ring(4096);
             let (mut best_plain, mut best_instr) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..trials {
-                tracer().uninstall();
                 let (_, us) = crate::time_us(|| execute_with(&catalog, sql, &opts));
                 best_plain = best_plain.min(us);
-                let _ = tracer().install_ring(4096);
                 let (_, us) = crate::time_us(|| run_profiled(&catalog, sql, &opts));
                 best_instr = best_instr.min(us);
             }
-            tracer().uninstall();
 
             points.push(ObsPoint {
                 query: label.to_string(),

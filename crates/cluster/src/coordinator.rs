@@ -413,16 +413,20 @@ impl Cluster {
     }
 
     /// Walk the shard's replicas under health direction; first success
-    /// wins. Every failed attempt followed by another is a failover,
-    /// recorded both in metrics and — under a profile context — as a
-    /// `cluster.failover` point in the trace.
-    fn run_shard(
+    /// wins. Each try opens a `cluster.fetch` span, enters its context
+    /// so device events (faults, retries, quarantines) land under it,
+    /// and reads the replica's table — re-mapped onto the global zone
+    /// grid inside the span when `regrid` is set. `route` then runs the
+    /// rest of the attempt on that table. Every failed attempt followed
+    /// by another is a failover, recorded both in metrics and — under a
+    /// profile context — as a `cluster.failover` point in the trace.
+    fn walk_replicas<T>(
         &self,
         s: usize,
-        shape: &AggShape,
-        opts: &ExecOptions,
+        regrid: bool,
         ctx: Option<&ProfileContext>,
-    ) -> std::result::Result<(Table, ShardPartials), AttemptError> {
+        mut route: impl FnMut(&mut Replica, Table) -> std::result::Result<T, AttemptError>,
+    ) -> std::result::Result<T, AttemptError> {
         let mut last = format!("all {} replicas unavailable", self.cfg.replicas);
         let mut failed_before = false;
         for r in 0..self.cfg.replicas {
@@ -436,7 +440,34 @@ impl Cluster {
                     c.point("cluster.failover", fields![replica = r as u64]);
                 }
             }
-            match self.attempt(s, r, shape, opts, ctx) {
+            let mut rep = self.shards[s].replicas[r].lock();
+            let fetched = {
+                let mut span = ctx.map(|c| c.span("cluster.fetch"));
+                if let Some(sp) = span.as_mut() {
+                    sp.field("replica", r as u64);
+                }
+                let entered = span.as_ref().map(|sp| sp.child().enter());
+                let fetched = rep.fetch().map(|mut table| {
+                    // The durable store rebuilds synopses on its own
+                    // default grid; re-map onto the global zone grid so
+                    // the shard's pruning and zone-aggregate decisions
+                    // are exactly the global engine's.
+                    if regrid {
+                        table.rebuild_synopsis_with(self.zone_rows);
+                    }
+                    table
+                });
+                drop(entered);
+                if let (Some(sp), Ok(table)) = (span.as_mut(), &fetched) {
+                    sp.field("rows", table.row_count() as u64);
+                }
+                fetched
+            };
+            let outcome = fetched
+                .map_err(|e| AttemptError::Replica(e.to_string()))
+                .and_then(|table| route(&mut rep, table));
+            drop(rep);
+            match outcome {
                 Ok(v) => {
                     self.health.lock().record_ok(s, r);
                     if probing {
@@ -466,145 +497,73 @@ impl Cluster {
         Err(AttemptError::Replica(last))
     }
 
-    fn attempt(
+    /// The scatter route on one shard: fetch (on the global grid),
+    /// compute the shard's partial aggregates, gather.
+    fn run_shard(
         &self,
         s: usize,
-        r: usize,
         shape: &AggShape,
         opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
     ) -> std::result::Result<(Table, ShardPartials), AttemptError> {
-        let mut rep = self.shards[s].replicas[r].lock();
-        let table = {
-            let mut span = ctx.map(|c| c.span("cluster.fetch"));
-            if let Some(sp) = span.as_mut() {
-                sp.field("replica", r as u64);
+        self.walk_replicas(s, true, ctx, |rep, table| {
+            if rep.take_injection(Phase::Execute) {
+                return Err(AttemptError::Replica("injected failure at execute".to_string()));
             }
-            let mut table = rep.fetch().map_err(|e| AttemptError::Replica(e.to_string()))?;
-            // The durable store rebuilds synopses on its own default
-            // grid; re-map onto the global zone grid so the shard's
-            // pruning and zone-aggregate decisions are exactly the
-            // global engine's.
-            table.rebuild_synopsis_with(self.zone_rows);
-            if let Some(sp) = span.as_mut() {
-                sp.field("rows", table.row_count() as u64);
-            }
-            table
-        };
-        if rep.take_injection(Phase::Execute) {
-            return Err(AttemptError::Replica("injected failure at execute".to_string()));
-        }
-        let sp = {
-            let span = ctx.map(|c| c.span("cluster.execute"));
-            match &self.shards[s].rows {
-                RowAssignment::Contiguous { start } => shard_partials_contiguous(
-                    &table,
-                    *start,
-                    shape.predicate.as_ref(),
-                    &shape.group_by,
-                    &shape.aggs,
-                    // Re-attach the engine's plan/morsel/zone spans under
-                    // this shard's execute span.
-                    &ExecOptions {
-                        profile: span.as_ref().map(|sp| sp.child()),
-                        ..opts.clone()
-                    },
-                ),
-                RowAssignment::Sparse(rows) => shard_partials_sparse(
-                    &table,
-                    rows,
-                    shape.predicate.as_ref(),
-                    &shape.group_by,
-                    &shape.aggs,
-                    &ExecOptions {
-                        profile: span.as_ref().map(|sp| sp.child()),
-                        ..opts.clone()
-                    },
-                ),
-            }
-            // Execution errors are deterministic functions of the
-            // shard's data — the same error would come back from every
-            // replica.
-            .map_err(|e| AttemptError::Fatal(ClusterError::Query(e)))?
-        };
-        {
+            let partials = {
+                let span = ctx.map(|c| c.span("cluster.execute"));
+                // Re-attach the engine's plan/morsel/zone spans under
+                // this shard's execute span.
+                let opts =
+                    ExecOptions { profile: span.as_ref().map(|sp| sp.child()), ..opts.clone() };
+                match &self.shards[s].rows {
+                    RowAssignment::Contiguous { start } => shard_partials_contiguous(
+                        &table,
+                        *start,
+                        shape.predicate.as_ref(),
+                        &shape.group_by,
+                        &shape.aggs,
+                        &opts,
+                    ),
+                    RowAssignment::Sparse(rows) => shard_partials_sparse(
+                        &table,
+                        rows,
+                        shape.predicate.as_ref(),
+                        &shape.group_by,
+                        &shape.aggs,
+                        &opts,
+                    ),
+                }
+                // Execution errors are deterministic functions of the
+                // shard's data — the same error would come back from
+                // every replica.
+                .map_err(|e| AttemptError::Fatal(ClusterError::Query(e)))?
+            };
             let _span = ctx.map(|c| c.span("cluster.gather"));
             if rep.take_injection(Phase::Gather) {
                 return Err(AttemptError::Replica("injected failure at gather".to_string()));
             }
-        }
-        Ok((table, sp))
+            Ok((table, partials))
+        })
     }
 
-    /// Fetch a shard's table with replica failover (gather path).
+    /// The gather route on one shard (also how models are captured):
+    /// fetch the shard's table as stored.
     fn fetch_shard(
         &self,
         s: usize,
         ctx: Option<&ProfileContext>,
     ) -> std::result::Result<Table, String> {
-        let mut last = format!("all {} replicas unavailable", self.cfg.replicas);
-        let mut failed_before = false;
-        for r in 0..self.cfg.replicas {
-            let probing = self.health.lock().state(s, r) == ReplicaState::Down;
-            if !self.health.lock().try_now(s, r) {
-                continue;
+        self.walk_replicas(s, false, ctx, |rep, table| {
+            if rep.take_injection(Phase::Gather) {
+                return Err(AttemptError::Replica("injected failure at gather".to_string()));
             }
-            if failed_before {
-                self.metrics.failovers.inc();
-                if let Some(c) = ctx {
-                    c.point("cluster.failover", fields![replica = r as u64]);
-                }
-            }
-            let mut rep = self.shards[s].replicas[r].lock();
-            let mut span = ctx.map(|c| c.span("cluster.fetch"));
-            if let Some(sp) = span.as_mut() {
-                sp.field("replica", r as u64);
-            }
-            match rep.fetch() {
-                Ok(t) => {
-                    if rep.take_injection(Phase::Gather) {
-                        self.health.lock().record_fail(s, r);
-                        drop(span);
-                        if let Some(c) = ctx {
-                            c.point(
-                                if probing { "cluster.health.probe" } else { "cluster.attempt.fail" },
-                                fields![replica = r as u64, error = "injected failure at gather"],
-                            );
-                        }
-                        last = format!("replica {r}: injected failure at gather");
-                        failed_before = true;
-                        continue;
-                    }
-                    self.health.lock().record_ok(s, r);
-                    if let Some(sp) = span.as_mut() {
-                        sp.field("rows", t.row_count() as u64);
-                    }
-                    if probing {
-                        drop(span);
-                        if let Some(c) = ctx {
-                            c.point(
-                                "cluster.health.probe",
-                                fields![replica = r as u64, outcome = "ok"],
-                            );
-                        }
-                    }
-                    return Ok(t);
-                }
-                Err(e) => {
-                    self.health.lock().record_fail(s, r);
-                    drop(span);
-                    if let Some(c) = ctx {
-                        c.point(
-                            if probing { "cluster.health.probe" } else { "cluster.attempt.fail" },
-                            fields![replica = r as u64, error = e.to_string()],
-                        );
-                    }
-                    last = format!("replica {r}: {e}");
-                    failed_before = true;
-                }
-            }
-        }
-        Err(last)
+            Ok(table)
+        })
+        .map_err(|e| match e {
+            AttemptError::Replica(detail) => detail,
+            AttemptError::Fatal(e) => e.to_string(),
+        })
     }
 
     /// The gather-execute route: reassemble the global table in

@@ -18,7 +18,7 @@ use lawsdb_query::{
     CostConstants, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
 };
 use lawsdb_storage::{Catalog, Column, Table};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// Rows sampled by the residual drift check — enough to catch a
@@ -104,6 +104,10 @@ pub struct LawsDb {
     /// Physical plan cache keyed on `(normalized query, stats epoch)`;
     /// hit/miss counters live in [`LawsDb::metrics`].
     plan_cache: PlanCache,
+    /// Serializes table writers that read a snapshot, modify it and
+    /// `replace` it (appends, model-zone attach), so no writer's batch
+    /// is lost. Readers take `Arc` snapshots and never wait on it.
+    writer: Mutex<()>,
 }
 
 impl Default for LawsDb {
@@ -135,6 +139,7 @@ impl LawsDb {
             cost: CostConstants::default(),
             plan_cache: PlanCache::for_registry(&metrics),
             metrics,
+            writer: Mutex::new(()),
         }
     }
 
@@ -529,6 +534,7 @@ impl LawsDb {
         // outside its predicate — and only while the fitted snapshot is
         // still current. Best-effort: a failed attach keeps the model.
         if stored.coverage.predicate.is_none() {
+            let _writer = self.writer.lock();
             if let (Some(bound), Ok(current)) =
                 (stored.max_abs_residual, self.table(table_name))
             {
@@ -576,6 +582,7 @@ impl LawsDb {
     /// (Section 4.1's data-change challenge). Returns the ids marked
     /// stale.
     pub fn append_rows(&self, table_name: &str, batch: &[Column]) -> Result<Vec<ModelId>> {
+        let _writer = self.writer.lock();
         let current = self.table(table_name)?;
         let mut updated = (*current).clone();
         updated.append_rows(batch)?;
@@ -1005,6 +1012,31 @@ mod tests {
         let prom = db.stats_prometheus();
         assert!(prom.contains("lawsdb_query_plan_cache_hit 2"), "{prom}");
         assert!(prom.contains("lawsdb_query_plan_cache_miss 1"), "{prom}");
+    }
+
+    #[test]
+    fn concurrent_appends_lose_no_batch() {
+        let db = lofar_db();
+        let base = db.table("measurements").unwrap().row_count();
+        std::thread::scope(|s| {
+            for t in 0..4i64 {
+                let db = &db;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        db.append_rows(
+                            "measurements",
+                            &[
+                                Column::from_i64(vec![t; 8]),
+                                Column::from_f64(vec![0.15; 8]),
+                                Column::from_f64(vec![1.0; 8]),
+                            ],
+                        )
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(db.table("measurements").unwrap().row_count(), base + 800);
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl<'db> Session<'db> {
     /// `EXPLAIN ANALYZE`: run the query through the resilient ladder
     /// with full profiling and return the rendered execution tree —
     /// ladder decisions, plan-node spans, per-morsel timings, pruning
-    /// and governor points, and any bridged storage events.
+    /// and governor points.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
         let r = self.db.query_resilient_collected(sql, &ProfileCollector::new())?;
         match &r.answer {

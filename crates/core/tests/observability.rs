@@ -1,25 +1,20 @@
 //! End-to-end acceptance for the unified observability layer: one
 //! resilient query under full instrumentation produces a single
 //! `QueryProfile` tree containing morsel timings, pruning decisions per
-//! zone source, governor charges, bridged retry/quarantine events and
-//! the degradation reason — and a `MockClock` run of the same query is
-//! byte-identical across executions.
-//!
-//! The tests install the process-global tracer, so they serialize on a
-//! mutex; this file owns its process.
+//! zone source, governor charges, storage retry/quarantine events
+//! recorded under the query's entered context, and the degradation
+//! reason — and a `MockClock` run of the same query is byte-identical
+//! across executions.
 
 use lawsdb_core::{DurableDb, LawsDb};
 use lawsdb_fit::FitOptions as RawFitOptions;
-use lawsdb_obs::trace::{tracer, FieldValue};
-use lawsdb_obs::{MockClock, ProfileCollector, RingBufferSink};
+use lawsdb_obs::{FieldValue, MockClock, ProfileCollector};
 use lawsdb_query::governor::ResourceBudget;
 use lawsdb_query::ExecOptions;
 use lawsdb_storage::fault::{FaultMode, FaultSchedule, FaultyDevice};
 use lawsdb_storage::retry::{RetryPolicy, RetryingDevice};
 use lawsdb_storage::{BlockDevice, SimulatedDevice, TableBuilder};
-use std::sync::{Arc, Mutex, PoisonError};
-
-static LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// An engine over `t(x, y = 2x)` with a captured linear model whose
 /// `prediction ± residual` zones replace `y`'s data zones, budgeted so
@@ -45,16 +40,14 @@ const SQL: &str = "SELECT y FROM t WHERE x >= 15000 AND y <= 32000";
 
 #[test]
 fn resilient_query_profile_unifies_every_signal() {
-    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let sink = RingBufferSink::new(256);
-    tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
-
     let db = zoned_engine(20_000, ExecOptions::default());
     let collector = ProfileCollector::new();
 
-    // Storage-layer trouble while the profile is live: a transient read
-    // fault that retries to recovery, and a checksum-failed page that
-    // gets quarantined. Both bridge into the profile as root points.
+    // Storage-layer trouble under the query's entered context: a
+    // transient read fault that retries to recovery, and a
+    // checksum-failed page that gets quarantined. Both land in the
+    // profile as root points.
+    let scope = collector.context().enter();
     {
         let mut inner = SimulatedDevice::new(64);
         let p = inner.allocate();
@@ -81,7 +74,7 @@ fn resilient_query_profile_unifies_every_signal() {
     }
 
     let r = db.query_resilient_collected(SQL, &collector).expect("query runs");
-    tracer().uninstall();
+    drop(scope);
 
     assert!(!r.answer.is_approximate(), "range query degrades to exact");
     let p = r.profile.expect("collected run attaches a profile");
@@ -123,7 +116,7 @@ fn resilient_query_profile_unifies_every_signal() {
         Some(20_000)
     );
 
-    // (5) Storage events bridged from far below the executor.
+    // (5) Storage events from far below the executor.
     assert!(!p.find("storage.retry.attempt").is_empty(), "{p}");
     assert!(!p.find("storage.retry.recovered").is_empty(), "{p}");
     assert!(!p.find("storage.page.quarantine").is_empty(), "{p}");
@@ -145,9 +138,6 @@ fn resilient_query_profile_unifies_every_signal() {
 
 #[test]
 fn mock_clock_profiles_are_byte_identical() {
-    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    assert!(!tracer().is_enabled(), "determinism run must not bridge events");
-
     let run = || {
         let db = zoned_engine(
             20_000,
@@ -165,7 +155,6 @@ fn mock_clock_profiles_are_byte_identical() {
 
 #[test]
 fn engine_metrics_registry_sees_health_and_pruning() {
-    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let db = zoned_engine(20_000, ExecOptions::default());
     let r = db.query_resilient(SQL).expect("runs");
     assert!(!r.answer.is_approximate());
@@ -196,4 +185,50 @@ fn engine_metrics_registry_sees_health_and_pruning() {
     assert!(prom.contains("# TYPE lawsdb_query_pages_total counter"), "{prom}");
     let json = db.stats_json();
     assert!(json.contains("\"lawsdb_core_exact_fallbacks\":1"), "{json}");
+}
+
+#[test]
+fn model_answer_records_resilient_approx() {
+    // Noise-free per-source power laws: the grouped model passes the
+    // quality gate and the freshness guard, so the ladder answers from
+    // it and says so in the profile.
+    let freqs = [0.12, 0.15, 0.16, 0.18];
+    let laws = [(2.0, -0.7), (0.5, -1.2)];
+    let (mut src, mut nu, mut intensity) = (Vec::new(), Vec::new(), Vec::new());
+    for (s, &(p, a)) in laws.iter().enumerate() {
+        for i in 0..40 {
+            let f: f64 = freqs[i % 4];
+            src.push(s as i64);
+            nu.push(f);
+            intensity.push(p * f.powf(a));
+        }
+    }
+    let mut b = TableBuilder::new("measurements");
+    b.add_i64("source", src);
+    b.add_f64("nu", nu);
+    b.add_f64("intensity", intensity);
+    let db = LawsDb::new();
+    db.register_table(b.build().expect("builds")).expect("registers");
+    let model = db
+        .capture_model(
+            "measurements",
+            "intensity ~ p * nu ^ alpha",
+            Some("source"),
+            &RawFitOptions::default(),
+        )
+        .expect("captures");
+
+    let collector = ProfileCollector::with_clock(Arc::new(MockClock::new(1)));
+    let r = db
+        .query_resilient_collected(
+            "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15",
+            &collector,
+        )
+        .expect("query runs");
+    assert!(r.answer.is_approximate());
+    let p = r.profile.expect("profile attached");
+    let approx = p.find("resilient.approx");
+    assert_eq!(approx.len(), 1, "{p}");
+    assert_eq!(approx[0].field("model").and_then(FieldValue::as_u64), Some(model.id.0));
+    assert!(p.find("resilient.degrade").is_empty(), "{p}");
 }

@@ -6,14 +6,16 @@
 //! executor, governor, pruning, fit diagnostics, resilience ladder)
 //! reports through the same pipe. Three pillars:
 //!
-//! - [`trace`]: span/event API over a ring-buffer sink with monotonic
-//!   timestamps from a mockable [`Clock`]. Zero cost when no subscriber
-//!   is installed: one relaxed atomic load per emit site.
+//! - [`trace`]: the `event!` macro and typed [`FieldValue`]s. An event
+//!   is a point in the calling thread's current [`ProfileContext`]
+//!   (see [`ProfileContext::enter`]); with none entered, an emit site
+//!   is one thread-local read and builds no fields.
 //! - [`metrics`]: named counters/gauges/histograms with sharded atomics
 //!   and Prometheus-text + JSON exposition.
 //! - [`profile`]: `EXPLAIN ANALYZE`-style [`QueryProfile`] trees
 //!   assembled from executor spans, morsel leaves, pruning decisions,
-//!   governor charges, and bridged storage events.
+//!   governor charges, and storage/fit events recorded under an entered
+//!   context, timed by a mockable [`Clock`].
 //!
 //! See DESIGN.md §12 for the span taxonomy and metric naming scheme
 //! (`lawsdb_<crate>_<name>`).
@@ -31,9 +33,11 @@ pub use metrics::{
     global as global_metrics, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry, RegistrySnapshot,
 };
-pub use profile::{ProfileCollector, ProfileContext, ProfileSpan, ProfileTreeNode, QueryProfile};
+pub use profile::{
+    EnteredContext, ProfileCollector, ProfileContext, ProfileSpan, ProfileTreeNode, QueryProfile,
+};
 pub use record::{
     attribute_layers, dominant_layer, FlightRecord, FlightRecorder, RecorderConfig,
     TraceNode, LAYERS,
 };
-pub use trace::{tracer, Event, FieldValue, RingBufferSink, SpanGuard, Tracer};
+pub use trace::FieldValue;

@@ -3,10 +3,15 @@
 //! A [`ProfileCollector`] accumulates flat span/point entries from any
 //! thread (workers record morsel leaves through cloned
 //! [`ProfileContext`] handles) and [`ProfileCollector::build`]
-//! assembles them into one [`QueryProfile`] tree. The collector also
-//! remembers the global tracer's cursor at creation, so events emitted
-//! far below the executor — storage retries, page quarantines — are
-//! bridged into the tree as root-level points.
+//! assembles them into one [`QueryProfile`] tree.
+//!
+//! Code far below the executor (storage retries, page quarantines, fit
+//! diagnostics) has no context handle; it reports through
+//! [`event!`](crate::event), which records a point into the calling
+//! thread's *current* context. [`ProfileContext::enter`] sets that
+//! context for a scope and restores the previous one when its guard
+//! drops, so an event lands under the span that entered it — and in no
+//! other query's tree. Contexts do not follow work onto other threads.
 //!
 //! Children sort by `(index, arrival)`: leaves carrying an explicit
 //! index (morsel offsets) come first in index order regardless of which
@@ -14,7 +19,9 @@
 //! thread count given a deterministic clock.
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::trace::{tracer, FieldValue};
+use crate::trace::FieldValue;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -43,7 +50,6 @@ enum Entry {
 pub struct ProfileCollector {
     clock: Arc<dyn Clock>,
     start_us: u64,
-    ring_from: u64,
     next_id: AtomicU64,
     entries: Mutex<Vec<Entry>>,
 }
@@ -60,7 +66,6 @@ impl ProfileCollector {
         Arc::new(ProfileCollector {
             clock,
             start_us,
-            ring_from: tracer().cursor(),
             next_id: AtomicU64::new(1),
             entries: Mutex::new(Vec::new()),
         })
@@ -105,8 +110,7 @@ impl ProfileCollector {
         self.entries().push(Entry::Point { parent, name, at_us, index, fields });
     }
 
-    /// Assemble everything recorded so far — plus tracer events bridged
-    /// since this collector was created — into one tree rooted at
+    /// Assemble everything recorded so far into one tree rooted at
     /// `root_name`.
     pub fn build(&self, root_name: &'static str) -> QueryProfile {
         struct Pending {
@@ -159,26 +163,7 @@ impl ProfileCollector {
                 }
             }
         }
-        let bridge_base = entries.len() as u64;
         drop(entries);
-        // Bridge tracer events that fired while this profile was live.
-        // Their timestamps come from the subscriber's clock (different
-        // origin), so they are attached as points and never contribute
-        // to the root duration.
-        for (i, ev) in tracer().events_since(self.ring_from).into_iter().enumerate() {
-            pending.push(Pending {
-                node: ProfileNode {
-                    name: ev.name,
-                    start_us: ev.timestamp_us,
-                    duration_us: None,
-                    index: None,
-                    fields: ev.fields,
-                    children: Vec::new(),
-                },
-                parent: ROOT,
-                seq: bridge_base + i as u64,
-            });
-        }
         // Assemble bottom-up: later entries can only be children of
         // earlier Begins (or the root), so one reverse pass suffices.
         let mut root = ProfileNode {
@@ -288,6 +273,49 @@ impl ProfileContext {
         fields: Vec<(&'static str, FieldValue)>,
     ) {
         self.collector.point(self.parent, name, Some(index), fields);
+    }
+
+    /// Make this the calling thread's current context until the guard
+    /// drops: every [`event!`](crate::event) on this thread records a
+    /// point here. Entering nests; the guard restores whatever context
+    /// was current before.
+    pub fn enter(&self) -> EnteredContext {
+        let prev = CURRENT.with(|c| c.replace(Some(self.clone())));
+        EnteredContext { prev, _same_thread: PhantomData }
+    }
+}
+
+thread_local! {
+    static CURRENT: RefCell<Option<ProfileContext>> = const { RefCell::new(None) };
+}
+
+/// Record `name` as a point in the calling thread's current context.
+/// `fields` runs only when a context is entered. This is what
+/// [`event!`](crate::event) expands to.
+#[inline]
+pub fn emit(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>) {
+    // `try_with`: an event fired while the thread's locals are being
+    // torn down is dropped rather than panicking. The context is cloned
+    // out so no borrow is held while `fields` runs.
+    if let Some(ctx) = CURRENT.try_with(|c| c.borrow().clone()).ok().flatten() {
+        ctx.point(name, fields());
+    }
+}
+
+/// Guard from [`ProfileContext::enter`]; restores the previous current
+/// context on drop. Not `Send`: it must drop on the thread it was
+/// entered on.
+#[derive(Debug)]
+#[must_use = "the context is current only while the guard lives"]
+pub struct EnteredContext {
+    prev: Option<ProfileContext>,
+    _same_thread: PhantomData<*const ()>,
+}
+
+impl Drop for EnteredContext {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = prev);
     }
 }
 
@@ -419,7 +447,8 @@ impl ProfileTreeNode {
 
 /// An `EXPLAIN ANALYZE`-style execution profile: one deterministic tree
 /// unifying executor spans, morsel leaves, pruning decisions, governor
-/// charges and bridged storage events. `Display` renders the tree.
+/// charges and the `event!` points recorded under an entered context.
+/// `Display` renders the tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryProfile {
     /// The root node (whole-query span).
@@ -534,20 +563,71 @@ mod tests {
     }
 
     #[test]
-    fn bridged_tracer_events_attach_to_root() {
-        use crate::trace::{tracer, RingBufferSink};
-        let sink = RingBufferSink::new(16);
-        tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
-        // An event from *before* the collector existed must not bridge.
-        crate::event!("too.early");
+    fn events_record_only_into_the_entered_context() {
+        let mut called = false;
+        emit("too.early", || {
+            called = true;
+            Vec::new()
+        });
+        assert!(!called, "no context entered: fields must not be built");
         let col = ProfileCollector::with_clock(Arc::new(MockClock::new(1)));
-        crate::event!("storage.retry.attempt", attempt = 2u64);
+        {
+            let _in = col.context().enter();
+            crate::event!("a", n = 1u64);
+            crate::event!("b", ok = true, why = "because");
+            let pages = 9usize;
+            crate::event!("scan", pages);
+        }
+        crate::event!("too.late");
         let profile = col.build("query");
-        tracer().uninstall();
-        assert!(profile.find("too.early").is_empty());
-        let bridged = profile.find("storage.retry.attempt");
-        assert_eq!(bridged.len(), 1);
-        assert_eq!(bridged[0].field("attempt").and_then(FieldValue::as_u64), Some(2));
+        let names: Vec<&str> = profile.root.children.iter().map(|c| c.name).collect();
+        assert_eq!(names, vec!["a", "b", "scan"]);
+        let kids = &profile.root.children;
+        assert_eq!(kids[0].field("n"), Some(&FieldValue::U64(1)));
+        assert_eq!(kids[1].field("why").and_then(FieldValue::as_str), Some("because"));
+        assert_eq!(kids[2].field("pages"), Some(&FieldValue::U64(9)));
+    }
+
+    #[test]
+    fn entering_nests_and_restores_the_outer_context() {
+        let col = ProfileCollector::with_clock(Arc::new(MockClock::new(1)));
+        let ctx = col.context();
+        let _outer = ctx.enter();
+        {
+            let span = ctx.span("fetch");
+            let _inner = span.child().enter();
+            crate::event!("storage.fault.fired", op = 3u64);
+        }
+        crate::event!("after");
+        let profile = col.build("query");
+        let fetch = &profile.root.children[0];
+        assert_eq!(fetch.name, "fetch");
+        assert_eq!(fetch.children[0].name, "storage.fault.fired");
+        assert_eq!(profile.root.children[1].name, "after");
+    }
+
+    #[test]
+    fn concurrent_threads_see_only_their_own_events() {
+        let cols: Vec<_> =
+            (0..2).map(|_| ProfileCollector::with_clock(Arc::new(MockClock::new(1)))).collect();
+        std::thread::scope(|s| {
+            for (t, col) in cols.iter().enumerate() {
+                s.spawn(move || {
+                    let _in = col.context().enter();
+                    for i in 0..200u64 {
+                        crate::event!("storage.retry.attempt", thread = t as u64, i);
+                    }
+                });
+            }
+        });
+        for (t, col) in cols.iter().enumerate() {
+            let profile = col.build("query");
+            let events = profile.find("storage.retry.attempt");
+            assert_eq!(events.len(), 200);
+            assert!(events
+                .iter()
+                .all(|e| e.field("thread").and_then(FieldValue::as_u64) == Some(t as u64)));
+        }
     }
 
     #[test]

@@ -1,23 +1,14 @@
-//! Structured tracing: spans and events over a ring-buffer sink.
+//! Structured events: typed field values and the [`event!`](crate::event)
+//! macro.
 //!
-//! The process-wide [`Tracer`] is disabled until a subscriber is
-//! installed; every emit site pays exactly one relaxed atomic load on
-//! the disabled path — the same zero-cost-when-off discipline as
-//! `Governor::arm` returning `None` for unbudgeted queries. Field
-//! construction is behind a closure, so a disabled emit allocates
-//! nothing.
-//!
-//! Events land in a fixed-capacity [`RingBufferSink`] with a
-//! monotonically increasing sequence number, so readers can take a
-//! cursor, run some work, and fetch exactly the events that happened in
-//! between (`events_since`) — this is how per-query profiles absorb
-//! storage-layer retry and quarantine events emitted far below the
-//! executor.
-
-use crate::clock::{Clock, MonotonicClock};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+//! An event is a named point with key/value fields, recorded into the
+//! calling thread's current [`ProfileContext`](crate::ProfileContext)
+//! (set by [`ProfileContext::enter`](crate::ProfileContext::enter)).
+//! With no context entered, an emit site is one thread-local read and
+//! the fields closure never runs, so a disabled emit allocates nothing.
+//! There is no process-wide subscriber: an event lands in the profile
+//! of the query (or test) that entered the context on that thread, and
+//! nowhere else.
 
 /// A typed event/span field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,312 +102,19 @@ impl From<String> for FieldValue {
     }
 }
 
-/// One structured event. `seq` is assigned by the sink and strictly
-/// increases across the process lifetime of an installed subscriber.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Dotted taxonomy name, e.g. `storage.retry.attempt`.
-    pub name: &'static str,
-    /// Sink-assigned sequence number.
-    pub seq: u64,
-    /// Microseconds on the subscriber's clock.
-    pub timestamp_us: u64,
-    /// Typed key/value payload.
-    pub fields: Vec<(&'static str, FieldValue)>,
-}
-
-impl Event {
-    /// Look up a field by key.
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-}
-
-struct Ring {
-    buf: VecDeque<Event>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-/// Thread-safe fixed-capacity event sink: the oldest events are dropped
-/// (and counted) when the buffer is full.
-pub struct RingBufferSink {
-    cap: usize,
-    inner: Mutex<Ring>,
-}
-
-impl std::fmt::Debug for RingBufferSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let r = self.ring();
-        f.debug_struct("RingBufferSink")
-            .field("cap", &self.cap)
-            .field("len", &r.buf.len())
-            .field("next_seq", &r.next_seq)
-            .field("dropped", &r.dropped)
-            .finish()
-    }
-}
-
-impl RingBufferSink {
-    /// A sink holding the most recent `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Arc<RingBufferSink> {
-        Arc::new(RingBufferSink {
-            cap: capacity.max(1),
-            inner: Mutex::new(Ring { buf: VecDeque::new(), next_seq: 0, dropped: 0 }),
-        })
-    }
-
-    fn ring(&self) -> std::sync::MutexGuard<'_, Ring> {
-        // A panicking recorder cannot corrupt a push-only ring; keep
-        // serving events rather than poisoning the whole subscriber.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Append one event, assigning its sequence number.
-    pub fn record(
-        &self,
-        name: &'static str,
-        timestamp_us: u64,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
-        let mut r = self.ring();
-        let seq = r.next_seq;
-        r.next_seq += 1;
-        if r.buf.len() == self.cap {
-            r.buf.pop_front();
-            r.dropped += 1;
-        }
-        r.buf.push_back(Event { name, seq, timestamp_us, fields });
-    }
-
-    /// The sequence number the *next* event will get; use as a cursor
-    /// for [`RingBufferSink::events_since`].
-    pub fn cursor(&self) -> u64 {
-        self.ring().next_seq
-    }
-
-    /// Events with `seq >= cursor` still held by the ring, oldest first.
-    pub fn events_since(&self, cursor: u64) -> Vec<Event> {
-        self.ring().buf.iter().filter(|e| e.seq >= cursor).cloned().collect()
-    }
-
-    /// Remove and return everything currently buffered.
-    pub fn drain(&self) -> Vec<Event> {
-        self.ring().buf.drain(..).collect()
-    }
-
-    /// Copy of everything currently buffered.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.ring().buf.iter().cloned().collect()
-    }
-
-    /// Events evicted by capacity pressure so far.
-    pub fn dropped(&self) -> u64 {
-        self.ring().dropped
-    }
-
-    /// Buffered event count.
-    pub fn len(&self) -> usize {
-        self.ring().buf.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-struct Installed {
-    sink: Arc<RingBufferSink>,
-    clock: Arc<dyn Clock>,
-}
-
-/// The process-wide event tracer. All emit sites go through
-/// [`tracer()`]; with no subscriber installed, [`Tracer::emit`] is a
-/// single relaxed atomic load and an immediate return.
-pub struct Tracer {
-    enabled: AtomicBool,
-    inner: RwLock<Option<Installed>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer").field("enabled", &self.is_enabled()).finish()
-    }
-}
-
-impl Tracer {
-    /// A disabled tracer (const, so it can be a `static`).
-    pub const fn new() -> Tracer {
-        Tracer { enabled: AtomicBool::new(false), inner: RwLock::new(None) }
-    }
-
-    fn installed(&self) -> std::sync::RwLockReadGuard<'_, Option<Installed>> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The disabled-path check every emit site pays: one relaxed load.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Install a subscriber: events flow to `sink`, stamped by `clock`.
-    pub fn install(&self, sink: Arc<RingBufferSink>, clock: Arc<dyn Clock>) {
-        *self.inner.write().unwrap_or_else(PoisonError::into_inner) =
-            Some(Installed { sink, clock });
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Install a fresh ring-buffer subscriber on the wall clock and
-    /// return it.
-    pub fn install_ring(&self, capacity: usize) -> Arc<RingBufferSink> {
-        let sink = RingBufferSink::new(capacity);
-        self.install(Arc::clone(&sink), Arc::new(MonotonicClock::new()));
-        sink
-    }
-
-    /// Remove the subscriber; emit sites go back to the single-load
-    /// disabled path.
-    pub fn uninstall(&self) {
-        self.enabled.store(false, Ordering::Release);
-        *self.inner.write().unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    /// Emit one event. `fields` is only invoked when a subscriber is
-    /// installed, so the disabled path allocates nothing.
-    #[inline]
-    pub fn emit(
-        &self,
-        name: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.emit_now(name, fields());
-    }
-
-    fn emit_now(&self, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-        if let Some(ins) = self.installed().as_ref() {
-            ins.sink.record(name, ins.clock.now_micros(), fields);
-        }
-    }
-
-    /// The installed ring, if any.
-    pub fn ring(&self) -> Option<Arc<RingBufferSink>> {
-        self.installed().as_ref().map(|i| Arc::clone(&i.sink))
-    }
-
-    /// Cursor into the installed ring (0 when disabled).
-    pub fn cursor(&self) -> u64 {
-        self.installed().as_ref().map_or(0, |i| i.sink.cursor())
-    }
-
-    /// Events recorded since `cursor` (empty when disabled).
-    pub fn events_since(&self, cursor: u64) -> Vec<Event> {
-        self.installed().as_ref().map_or_else(Vec::new, |i| i.sink.events_since(cursor))
-    }
-
-    /// Open a span: an RAII guard that emits one event carrying a
-    /// `duration_us` field when dropped. Inert (no clock read, no
-    /// allocation) when disabled at open time.
-    #[inline]
-    pub fn span(
-        &'static self,
-        name: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
-    ) -> SpanGuard {
-        if !self.is_enabled() {
-            return SpanGuard { tracer: self, name, start_us: 0, fields: Vec::new(), active: false };
-        }
-        let start_us =
-            self.installed().as_ref().map_or(0, |i| i.clock.now_micros());
-        SpanGuard { tracer: self, name, start_us, fields: fields(), active: true }
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// RAII span handle from [`Tracer::span`]; emits on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    tracer: &'static Tracer,
-    name: &'static str,
-    start_us: u64,
-    fields: Vec<(&'static str, FieldValue)>,
-    active: bool,
-}
-
-impl SpanGuard {
-    /// Attach an outcome field before the span closes.
-    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        if self.active {
-            self.fields.push((key, value.into()));
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let mut fields = std::mem::take(&mut self.fields);
-        if let Some(ins) = self.tracer.installed().as_ref() {
-            let end = ins.clock.now_micros();
-            fields.push(("duration_us", FieldValue::U64(end.saturating_sub(self.start_us))));
-            ins.sink.record(self.name, end, fields);
-        }
-    }
-}
-
-static GLOBAL: Tracer = Tracer::new();
-
-/// The process-wide tracer every emit site reports through.
-pub fn tracer() -> &'static Tracer {
-    &GLOBAL
-}
-
-/// Emit a structured event through the global tracer.
+/// Record a structured event into the calling thread's current profile
+/// context.
 ///
 /// `event!("storage.retry.attempt", page = id, attempt)` — a bare
-/// identifier uses the variable as both key and value. Zero cost when
-/// no subscriber is installed.
+/// identifier uses the variable as both key and value. With no context
+/// entered the fields are never built.
 #[macro_export]
 macro_rules! event {
     ($name:expr $(,)?) => {
-        $crate::trace::tracer().emit($name, ::std::vec::Vec::new)
+        $crate::profile::emit($name, ::std::vec::Vec::new)
     };
     ($name:expr, $($key:ident $(= $val:expr)?),+ $(,)?) => {
-        $crate::trace::tracer().emit($name, || ::std::vec![
-            $((
-                stringify!($key),
-                $crate::trace::FieldValue::from($crate::__field_value!($key $(= $val)?)),
-            )),+
-        ])
-    };
-}
-
-/// Open a span on the global tracer: `let _s = span!("scan", table, pages);`
-/// emits one `scan` event with a `duration_us` field when the guard
-/// drops.
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(,)?) => {
-        $crate::trace::tracer().span($name, ::std::vec::Vec::new)
-    };
-    ($name:expr, $($key:ident $(= $val:expr)?),+ $(,)?) => {
-        $crate::trace::tracer().span($name, || ::std::vec![
-            $((
-                stringify!($key),
-                $crate::trace::FieldValue::from($crate::__field_value!($key $(= $val)?)),
-            )),+
-        ])
+        $crate::profile::emit($name, || $crate::fields![$($key $(= $val)?),+])
     };
 }
 
@@ -429,94 +127,4 @@ macro_rules! __field_value {
     ($key:ident = $val:expr) => {
         $val
     };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::clock::MockClock;
-
-    /// Tests share the global tracer; serialize the ones that install.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn disabled_tracer_emits_nothing_and_never_calls_fields() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        tracer().uninstall();
-        let mut called = false;
-        tracer().emit("x", || {
-            called = true;
-            Vec::new()
-        });
-        assert!(!called, "disabled emit must not build fields");
-        assert_eq!(tracer().cursor(), 0);
-    }
-
-    #[test]
-    fn events_round_trip_with_fields_and_sequence() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let sink = RingBufferSink::new(16);
-        tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(5)));
-        crate::event!("a", n = 1u64);
-        crate::event!("b", ok = true, why = "because");
-        tracer().uninstall();
-        let evs = sink.drain();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].name, "a");
-        assert_eq!(evs[0].timestamp_us, 0);
-        assert_eq!(evs[0].field("n"), Some(&FieldValue::U64(1)));
-        assert_eq!(evs[1].seq, evs[0].seq + 1);
-        assert_eq!(evs[1].field("why").and_then(FieldValue::as_str), Some("because"));
-    }
-
-    #[test]
-    fn ring_drops_oldest_and_counts() {
-        let sink = RingBufferSink::new(2);
-        sink.record("a", 0, Vec::new());
-        sink.record("b", 1, Vec::new());
-        sink.record("c", 2, Vec::new());
-        assert_eq!(sink.dropped(), 1);
-        let names: Vec<&str> = sink.snapshot().iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["b", "c"]);
-    }
-
-    #[test]
-    fn cursor_windows_select_only_newer_events() {
-        let sink = RingBufferSink::new(16);
-        sink.record("old", 0, Vec::new());
-        let cur = sink.cursor();
-        sink.record("new", 1, Vec::new());
-        let evs = sink.events_since(cur);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "new");
-    }
-
-    #[test]
-    fn span_emits_duration_on_drop() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let sink = RingBufferSink::new(16);
-        tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(7)));
-        {
-            let mut s = crate::span!("work", items = 3u64);
-            s.field("outcome", "ok");
-        }
-        tracer().uninstall();
-        let evs = sink.drain();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "work");
-        // MockClock step 7: start read 0, end read 7.
-        assert_eq!(evs[0].field("duration_us"), Some(&FieldValue::U64(7)));
-        assert_eq!(evs[0].field("outcome").and_then(FieldValue::as_str), Some("ok"));
-    }
-
-    #[test]
-    fn bare_identifier_field_shorthand() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let sink = RingBufferSink::new(4);
-        tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
-        let pages = 9usize;
-        crate::event!("scan", pages);
-        tracer().uninstall();
-        assert_eq!(sink.drain()[0].field("pages"), Some(&FieldValue::U64(9)));
-    }
 }

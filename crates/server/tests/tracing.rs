@@ -13,7 +13,7 @@ use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb_core::LawsDb;
 use lawsdb_obs::{dominant_layer, MockClock, RecorderConfig, TraceNode, LAYERS};
 use lawsdb_server::{Client, ClientError, QueryMode, Server, ServerConfig, WireError};
-use lawsdb_storage::{Table, TableBuilder};
+use lawsdb_storage::{FaultMode, Table, TableBuilder};
 use std::sync::Arc;
 
 fn seed() -> u64 {
@@ -186,6 +186,85 @@ fn distributed_trace_is_complete_deterministic_and_slowlogged() {
         "cluster phases must be attributed: {:?}",
         rec.layers
     );
+}
+
+#[test]
+fn replica_device_fault_is_traced_under_its_fetch_and_nowhere_else() {
+    let mut state = seed();
+    let (server, cluster) = traced_server();
+    let populated: Vec<usize> =
+        (0..cluster.config().shards).filter(|&s| cluster.shard_rows(s) > 0).collect();
+    let faulted = populated[(splitmix64(&mut state) as usize) % populated.len()];
+    // A real device fault at a seed-chosen op inside replica 0's fetch.
+    let window = cluster.fetch_ops(faulted, 0).unwrap();
+    let offset = splitmix64(&mut state) % window;
+    cluster
+        .arm_read_fault(faulted, 0, FaultMode::IoError, splitmix64(&mut state), offset)
+        .unwrap();
+
+    // Two sessions run side by side: a traced cluster query that hits
+    // the fault, and a traced exact query that touches no replica.
+    let (cluster_trace, exact_trace) = std::thread::scope(|scope| {
+        let on_cluster = scope.spawn(|| {
+            let mut c = Client::connect(server.connect()).unwrap();
+            let r = c.query_traced(QueryMode::Cluster, AVG_SQL).unwrap();
+            c.close().unwrap();
+            r.trace.expect("traced cluster query carries its tree")
+        });
+        let exact = scope.spawn(|| {
+            let mut c = Client::connect(server.connect()).unwrap();
+            let r = c.query_traced(QueryMode::Exact, AVG_SQL).unwrap();
+            c.close().unwrap();
+            r.trace.expect("traced exact query carries its tree")
+        });
+        (on_cluster.join().unwrap(), exact.join().unwrap())
+    });
+    assert!(cluster.replica_fault_fired(faulted, 0), "the armed fault must fire");
+
+    // The fault is a child of replica 0's fetch on the faulted shard,
+    // and the very next sibling step after that fetch is a failover.
+    let shard = cluster_trace
+        .find("cluster.shard")
+        .into_iter()
+        .find(|n| n.field("shard").and_then(|v| v.as_u64()) == Some(faulted as u64))
+        .unwrap_or_else(|| panic!("no span for shard {faulted}:\n{cluster_trace}"));
+    let steps: Vec<&str> = shard.children.iter().map(|c| c.name.as_str()).collect();
+    let fetch_at = shard
+        .children
+        .iter()
+        .position(|c| {
+            c.name == "cluster.fetch" && c.field("replica").and_then(|v| v.as_u64()) == Some(0)
+        })
+        .unwrap_or_else(|| panic!("no replica-0 fetch:\n{cluster_trace}"));
+    assert!(
+        !shard.children[fetch_at].find("storage.fault.fired").is_empty(),
+        "fault must sit under the fetch that hit it:\n{cluster_trace}"
+    );
+    let failover_at = steps
+        .iter()
+        .position(|n| *n == "cluster.failover")
+        .unwrap_or_else(|| panic!("missing failover:\n{cluster_trace}"));
+    assert!(failover_at > fetch_at, "failover must follow the faulted fetch: {steps:?}");
+    let storage_nodes = |t: &TraceNode| {
+        fn walk(n: &TraceNode, out: &mut Vec<String>) {
+            if n.name.starts_with("storage.") {
+                out.push(n.name.clone());
+            }
+            n.children.iter().for_each(|c| walk(c, out));
+        }
+        let mut out = Vec::new();
+        walk(t, &mut out);
+        out
+    };
+    // Every storage event of the cluster query is inside a fetch.
+    let under_fetches: usize = cluster_trace
+        .find("cluster.fetch")
+        .iter()
+        .map(|f| storage_nodes(f).len())
+        .sum();
+    assert_eq!(under_fetches, storage_nodes(&cluster_trace).len(), "{cluster_trace}");
+    // The concurrent exact query saw none of them.
+    assert!(storage_nodes(&exact_trace).is_empty(), "leaked events:\n{exact_trace}");
 }
 
 #[test]
